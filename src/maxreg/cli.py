@@ -40,16 +40,14 @@ from .factorization import (
     chg_matrix,
     d_symbol,
     dplus_coeffs,
-    roots,
+    factor_residual,
 )
 from .halfspace import (
     HalfGrid,
-    apply_d_quartic,
+    apply_symbol,
     boundary_norm,
     dirichlet_failure_probe,
-    exp_field,
     halfspace_norm,
-    merge_terms,
     random_exp_field,
     solve_half_chg_system,
     solve_half_scalar,
@@ -312,6 +310,12 @@ def _of_jsonable(mu):
     return {"pieces": mu.to_jsonable()["pieces"], "ord": str(mu.ord)}
 
 
+def _trace_rows(mu):
+    """One row per trace order function T_j(mu), j = 0..ord mu - 1."""
+    return [{"j": j, **_of_jsonable(trace_order_function(mu, j))}
+            for j in range(int(mu.ord))]
+
+
 def cmd_polygon(cfg):
     sym = load_poly_symbol(cfg["target"])
     poly = sym.newton_polygon()
@@ -328,12 +332,7 @@ def cmd_polygon(cfg):
     }
     shape = chg_shape(mu)
     if shape is not None and mu.ord == int(mu.ord) and mu.ord > 0:
-        rows = []
-        for j in range(int(mu.ord)):
-            tj = trace_order_function(mu, j)
-            rows.append({"j": j, "pieces": tj.to_jsonable()["pieces"],
-                         "ord": str(tj.ord)})
-        data["trace_order_functions"] = rows
+        data["trace_order_functions"] = _trace_rows(mu)
     verts = ", ".join(f"({r}, {s})" for r, s in data["vertices"])
     summary = [f"vertices: {verts}", f"ord = {mu.ord}",
                f"regular in time: {data['regular_in_time']}"]
@@ -394,25 +393,11 @@ def cmd_check(cfg):
 def cmd_chg(cfg):
     poly = d_symbol().newton_polygon()
     mu = order_function_of(poly)
-    trace_rows = [{"j": j,
-                   "pieces": trace_order_function(mu, j).to_jsonable()["pieces"],
-                   "ord": str(trace_order_function(mu, j).ord)}
-                  for j in range(4)]
-    # spot check the quartic factorization D = D+ D- on a small grid
-    max_res = 0.0
-    for tau in (-1e3, -1.0, 1.0, 31.7, 1e3):
-        for xi in (0.0, 0.1, 1.0, 10.0):
-            rq = roots(tau, xi)
-            for xn in (0.0, 0.7, -1.3):
-                d_val = (xn ** 4 + (1j * tau + 2 * xi * xi) * xn ** 2
-                         + (1j * tau + 1j * tau * xi * xi + xi ** 4))
-                prod = ((xn - rq.rho1_plus) * (xn - rq.rho2_plus)
-                        * (xn - rq.rho1_minus) * (xn - rq.rho2_minus))
-                scale = max(abs(d_val), 1.0)
-                max_res = max(max_res, abs(d_val - prod) / scale)
+    grid = _grid_spec(cfg)
+    max_res = factor_residual(grid)
     fc = dplus_coeffs(1.0, 1.0)
     ell = ellipticity_certify(d_symbol(), MU_D, lam=float(cfg["lambda"]),
-                              grid=_grid_spec(cfg))
+                              grid=grid)
     data = {
         "polygon_vertices": poly.to_jsonable()["vertices"],
         "mu_D": _of_jsonable(mu),
@@ -421,7 +406,7 @@ def cmd_chg(cfg):
         "t1_order": _of_jsonable(T1_ORDER),
         "elementary_decomposition": [[str(y), str(e)]
                                      for y, e in elementary_decomposition(mu)],
-        "trace_order_functions": trace_rows,
+        "trace_order_functions": _trace_rows(mu),
         "factor_residual": max_res,
         "dplus_sample": {"tau": 1.0, "xi": 1.0,
                          "d0_plus": fc.d0_plus, "d1_plus": fc.d1_plus},
@@ -463,26 +448,13 @@ def _solve_whole(cfg):
     return data, summary, fields
 
 
-def _neg_half(u):
-    return exp_field(u.grid, {k: tuple((-c, r, m) for c, r, m in v)
-                              for k, v in u.exp_terms.items()})
-
-
 def _solve_half(cfg):
     kwargs = _grid_kwargs(cfg, _HALF_KEYS)
     grid = HalfGrid(**kwargs)
     seed = int(cfg["seed"])
     bc_name = cfg.get("bc") or "neumann_13"
     if cfg.get("probe"):
-        resolutions = None
-        if cfg.get("resolutions"):
-            resolutions = _parse_resolutions(cfg["resolutions"])
-        rows = dirichlet_failure_probe(resolutions)
-        data = {"rows": rows}
-        growth = rows[-1]["trace_norm_T2"] / rows[0]["trace_norm_T2"]
-        summary = [f"borderline-datum growth table over "
-                   f"K = {', '.join(str(r['K']) for r in rows)}",
-                   f"trace-norm growth factor = {growth:.3f}"]
+        data, summary, _ = cmd_probe(cfg)
         return data, summary, []
     ensemble = int(cfg.get("ensemble") or 0)
     if ensemble:
@@ -503,7 +475,7 @@ def _solve_half(cfg):
         return data, summary, []
     bc = load_boundary_pair(bc_name)
     u_star = random_exp_field(grid, seed=seed)
-    f = apply_d_quartic(u_star)
+    f = apply_symbol(u_star, d_symbol())
     tr = traces(u_star, 4)
     g = [np.zeros(grid.col_shape, complex) for _ in range(2)]
     for idx, tau, xi in grid.columns():
@@ -511,12 +483,8 @@ def _solve_half(cfg):
             g[i][idx] = sum(complex(c(tau, xi)) * tr[(j,) + idx]
                             for j, c in enumerate(bc[i].coeffs))
     res = solve_half_scalar(f, tuple(g), bc)
-    diff = exp_field(grid, {
-        k: merge_terms(tuple(res.u.exp_terms.get(k, ()))
-                       + tuple(_neg_half(u_star).exp_terms.get(k, ())))
-        for k in set(res.u.exp_terms) | set(u_star.exp_terms)})
     denom = max(halfspace_norm(u_star, MU_D), 1e-300)
-    err = halfspace_norm(diff, MU_D) / denom
+    err = halfspace_norm(res.u - u_star, MU_D) / denom
     data = {"grid": grid.to_jsonable(), "seed": seed, "bc": bc_name,
             "recovery_error": err,
             "norm_u_mu_D": halfspace_norm(res.u, MU_D),
@@ -605,12 +573,12 @@ def cmd_export(cfg):
             w.writerow(row)
         files[name] = buf.getvalue()
 
-    if "vertices" in data:
+    # a polygon report names its vertices "vertices", a chg report
+    # "polygon_vertices"
+    verts = data.get("polygon_vertices", data.get("vertices"))
+    if verts is not None:
         table("polygon_vertices.csv", _EXPORT_HEADERS["polygon_vertices.csv"],
-              [[r, s] for r, s in data["vertices"]])
-    if "polygon_vertices" in data:
-        table("polygon_vertices.csv", _EXPORT_HEADERS["polygon_vertices.csv"],
-              [[r, s] for r, s in data["polygon_vertices"]])
+              [[r, s] for r, s in verts])
     if "trace_order_functions" in data:
         rows = []
         for entry in data["trace_order_functions"]:
@@ -687,7 +655,7 @@ def _build_parser():
                     help="boundary condition for half solves "
                          "(dirichlet | neumann_13 | file)")
     ss.add_argument("--probe", action="store_true",
-                    help="emit the borderline-datum growth table instead")
+                    help="emit the probe report instead")
     ss.add_argument("--ensemble", type=int, default=0,
                     help="number of random system samples")
 
@@ -721,7 +689,7 @@ def main(argv=None):
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, ZeroDivisionError, OSError, KeyError) as e:
+    except (ValueError, ArithmeticError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     report = build_report(args.cmd, cfg, data, summary)

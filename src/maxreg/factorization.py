@@ -148,10 +148,12 @@ def d_minus_eval(tau, xi_prime_norm, xi_n):
 
 
 def d_eval_split(tau, xi_prime_norm, xi_n):
-    """D(tau, xi) with |xi|^2 = |xi'|^2 + xi_n^2 (real frequencies)."""
+    """d_symbol() at |xi| = sqrt(|xi'|^2 + xi_n^2); xi_n may be complex (a
+    root).  D holds even powers of |xi| only, so the branch of the square
+    root does not matter.  Forming |xi|^2 first, rather than expanding D in
+    xi_n, avoids cancellation near the roots."""
     xi2 = np.asarray(xi_prime_norm, dtype=float) ** 2 + np.asarray(xi_n) ** 2
-    t = np.asarray(tau, dtype=float)
-    return 1j * t + xi2 * (1j * t + xi2)
+    return d_symbol()(np.asarray(tau, dtype=float), np.sqrt(xi2 + 0j))
 
 
 def z_func(tau):

@@ -24,7 +24,15 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .boundary import BoundaryOperator, dirichlet_pair, neumann_pair_13
-from .factorization import MU_D, MU_MINUS, T1_ORDER, roots
+from .factorization import (
+    MU_D,
+    MU_MINUS,
+    T1_ORDER,
+    adj_chg_matrix,
+    chg_matrix,
+    dplus_coeffs,
+    roots,
+)
 from .polygons import (
     OFLike,
     OrderFunction,
@@ -36,7 +44,7 @@ from .polygons import (
     smooth_weight_eval,
     trace_order_function,
 )
-from .spectral import worker_count
+from .symbols import normal_coeffs
 
 # exponential-sum terms: (coefficient, exponent rho with Im rho >= 0, power m)
 Term = tuple[complex, complex, int]
@@ -72,6 +80,10 @@ class HalfGrid:
             raise ValueError("K >= 1 and Nn >= 64 required")
         if self.n not in (1, 2):
             raise ValueError("total spatial dimension must be 1 or 2")
+        if not (self.T > 0 and self.Lx > 0):
+            raise ValueError("positive box and period")
+        if self.Ln is not None and not self.Ln > 0:
+            raise ValueError("positive normal length Ln")
         if self.Ln is None:
             object.__setattr__(self, "Ln", 16.0 / _slowest_decay(self.T))
 
@@ -157,9 +169,6 @@ class HalfField:
     def materialized(self) -> "HalfField":
         return HalfField(self.grid, self.values(), {}, self.oscillatory)
 
-    def is_exp_only(self, idx) -> bool:
-        return not np.any(self.samples[idx])
-
     def copy(self) -> "HalfField":
         return HalfField(self.grid, self.samples.copy(),
                          {k: tuple(v) for k, v in self.exp_terms.items()},
@@ -174,6 +183,12 @@ class HalfField:
         return HalfField(self.grid, self.samples + other.samples,
                          {k: merge_terms(v) for k, v in terms.items()},
                          self.oscillatory and other.oscillatory)
+
+    def __sub__(self, other: "HalfField") -> "HalfField":
+        return self + HalfField(other.grid, -other.samples,
+                                {k: tuple((-c, rho, m) for c, rho, m in v)
+                                 for k, v in other.exp_terms.items()},
+                                other.oscillatory)
 
 
 def zero_half_field(grid: HalfGrid) -> HalfField:
@@ -423,14 +438,6 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return _simpson(y[:-1], h) + float(0.5 * h * (y[-2] + y[-1]))
 
 
-def column_l2_sq(f: HalfField, idx) -> float:
-    terms = f.exp_terms.get(idx)
-    if terms and f.is_exp_only(idx):
-        return terms_l2_sq(terms, f.grid.Ln)
-    vals = f.column(idx)
-    return _simpson(np.abs(vals) ** 2, f.grid.h)
-
-
 # ---------------------------------------------------------------------------
 # Column-wise operator application
 # ---------------------------------------------------------------------------
@@ -468,6 +475,12 @@ def apply_poly_operator(f: HalfField, coeff_fn: Callable) -> HalfField:
     return HalfField(grid, out_samples, out_terms)
 
 
+def apply_symbol(f: HalfField, sym) -> HalfField:
+    """Forward op[P] for a radial polynomial symbol P (a PolySymbol, or a
+    SymbolFn wrapping one), with xi_n -> -i d/dx_n."""
+    return apply_poly_operator(f, normal_coeffs(sym))
+
+
 def _minus_roots(tau: float, xi: float):
     rq = roots(tau, xi)
     return complex(rq.rho1_minus), complex(rq.rho2_minus)
@@ -479,18 +492,10 @@ def _plus_roots(tau: float, xi: float):
 
 
 def apply_dminus(f: HalfField) -> HalfField:
-    """Forward op[D-] = -d^2/dx^2 + i(rho1- + rho2-) d/dx + rho1- rho2-."""
+    """Forward op[D-] = d2 d^2/dx^2 + d1 d/dx + d0 (factorization.dplus_coeffs)."""
     def coeffs(tau, xi):
-        r1, r2 = _minus_roots(tau, xi)
-        return (r1 * r2, 1j * (r1 + r2), -1.0)
-    return apply_poly_operator(f, coeffs)
-
-
-def apply_d_quartic(f: HalfField) -> HalfField:
-    """Forward op[D] as a 4th-order operator in x_n."""
-    def coeffs(tau, xi):
-        return (1j * tau + 1j * tau * xi ** 2 + xi ** 4,
-                0.0, -(1j * tau + 2.0 * xi ** 2), 0.0, 1.0)
+        fc = dplus_coeffs(tau, xi)
+        return (complex(fc.d0_minus), complex(fc.d1_minus), fc.d2_minus)
     return apply_poly_operator(f, coeffs)
 
 
@@ -511,26 +516,6 @@ def dminus_inverse_plus(f: HalfField) -> HalfField:
         if terms:
             t = causal_resolvent_terms(r2, terms)
             t = causal_resolvent_terms(r1, t)
-            if t:
-                out_terms[idx] = t
-    return HalfField(grid, out_samples, out_terms)
-
-
-def dplus_particular(w: HalfField) -> HalfField:
-    """Anticausal particular solution of op[D+] p = w (vanishes at x = 0)."""
-    grid = w.grid
-    out_samples = np.zeros(grid.shape, complex)
-    out_terms = {}
-    for idx, tau, xi in grid.columns():
-        r1, r2 = _plus_roots(tau, xi)
-        col = w.samples[idx]
-        if np.any(col):
-            v = anticausal_resolvent_samples(r1, col, grid.h)
-            out_samples[idx] = anticausal_resolvent_samples(r2, v, grid.h)
-        terms = w.exp_terms.get(idx)
-        if terms:
-            t = anticausal_resolvent_terms(r1, terms, grid.Ln)
-            t = anticausal_resolvent_terms(r2, t, grid.Ln)
             if t:
                 out_terms[idx] = t
     return HalfField(grid, out_samples, out_terms)
@@ -568,65 +553,65 @@ def dotted_inverse(f: HalfField, factor_fn: Callable) -> HalfField:
 # ---------------------------------------------------------------------------
 
 
-def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
-    """|| op[omega_mu^-]^+ u ||_{L^2(G_+)} via the elementary decomposition.
+def weight_factors(mu: OFLike) -> list[tuple[float, int]]:
+    """(y / 2, e) for each elementary piece e * o_y of mu; none for mu = 0.
 
-    Each elementary factor o_y contributes a first-order operator
-    (<tau>^y + <xi'>) - d/dx per unit of multiplicity.
+    The weight of mu acts on a column as the product of the first-order
+    operators (1 + tau^2)^(y/2) + <xi'> - d/dx, each e times.
     """
-    grid = u.grid
     if isinstance(mu, (int, Fraction)) and mu == 0:
-        mu_of = ZERO_OF
-    elif isinstance(mu, OrderFunction):
-        mu_of = mu
-    else:
+        return []
+    if not isinstance(mu, OrderFunction):
         raise TypeError("half-space norms take a plain OrderFunction")
-    factors = [] if mu_of == ZERO_OF else elementary_decomposition(mu_of)
-    total = 0.0
-    d1 = derivative_matrix(grid.Nn, grid.h, 1)
-    for idx, tau, xi in grid.columns():
-        col = u.samples[idx]
-        terms = u.exp_terms.get(idx, ())
-        use_samples = np.any(col)
-        for y, e in factors:
-            a = (1.0 + tau * tau) ** (float(y) / 2.0) + np.sqrt(1.0 + xi * xi)
-            for _ in range(int(e)):
-                if use_samples:
-                    col = a * col - d1 @ col
-                if terms:
-                    terms = merge_terms(
-                        [(a * c, rho, m) for c, rho, m in terms]
-                        + [(-c, rho, m) for c, rho, m in differentiate_terms(terms)])
-        if terms and not use_samples:
-            total += terms_l2_sq(terms, grid.Ln)
-        else:
-            vals = col + (eval_terms(terms, grid.xn()) if terms else 0.0)
-            total += _simpson(np.abs(np.asarray(vals)) ** 2, grid.h)
-    meas = grid.T * grid.Lx ** (grid.n - 1)
-    return float(np.sqrt(meas * total))
+    if mu == ZERO_OF:
+        return []
+    return [(float(y) / 2.0, int(e)) for y, e in elementary_decomposition(mu)]
+
+
+def _weighted(col, terms, tau, xi, factors, d1):
+    """Apply the weight factors to one column: the samples col (unless None)
+    through the first-derivative matrix d1, the terms exactly."""
+    for half_y, e in factors:
+        a = (1.0 + tau * tau) ** half_y + np.sqrt(1.0 + xi * xi)
+        for _ in range(e):
+            if col is not None:
+                col = a * col - d1 @ col
+            if terms:
+                terms = merge_terms(
+                    [(a * c, rho, m) for c, rho, m in terms]
+                    + [(-c, rho, m) for c, rho, m in differentiate_terms(terms)])
+    return col, terms
 
 
 def column_weighted_l2_sq(terms: Sequence[Term], tau: float, xi: float,
-                          mu: OFLike, Ln: float) -> float:
-    """Exact squared column norm: weight factors applied to an exp sum."""
-    if isinstance(mu, (int, Fraction)) and mu == 0:
-        factors = []
-    else:
-        factors = elementary_decomposition(mu)
-    terms = tuple(terms)
-    for y, e in factors:
-        a = (1.0 + tau * tau) ** (float(y) / 2.0) + np.sqrt(1.0 + xi * xi)
-        for _ in range(int(e)):
-            terms = merge_terms(
-                [(a * c, rho, m) for c, rho, m in terms]
-                + [(-c, rho, m) for c, rho, m in differentiate_terms(terms)])
-    return terms_l2_sq(terms, Ln)
+                          factors, Ln: float) -> float:
+    """Exact squared column norm of an exp sum after the weight factors
+    (from weight_factors)."""
+    return terms_l2_sq(_weighted(None, tuple(terms), tau, xi, factors, None)[1], Ln)
 
 
-def exp_column_norm(tau: float, xi: float, rho: complex, mu: OFLike,
-                    Ln: float) -> float:
-    """Column norm of the single homogeneous profile e^{i rho x_n}."""
-    return float(np.sqrt(column_weighted_l2_sq(((1.0, rho, 0),), tau, xi, mu, Ln)))
+def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
+    """|| op[omega_mu^-]^+ u ||_{L^2(G_+)} via the elementary decomposition.
+
+    Exponential-sum columns are integrated in closed form; a column holding
+    samples is weighted with the 4th-order first-derivative matrix and
+    integrated by Simpson's rule.
+    """
+    grid = u.grid
+    factors = weight_factors(mu)
+    total = 0.0
+    for idx, tau, xi in grid.columns():
+        col = u.samples[idx]
+        terms = u.exp_terms.get(idx, ())
+        if not np.any(col):
+            total += column_weighted_l2_sq(terms, tau, xi, factors, grid.Ln)
+            continue
+        d1 = derivative_matrix(grid.Nn, grid.h, 1) if factors else None
+        col, terms = _weighted(col, terms, tau, xi, factors, d1)
+        vals = col + (eval_terms(terms, grid.xn()) if terms else 0.0)
+        total += _simpson(np.abs(np.asarray(vals)) ** 2, grid.h)
+    meas = grid.T * grid.Lx ** (grid.n - 1)
+    return float(np.sqrt(meas * total))
 
 
 def boundary_norm(g: np.ndarray, mu: OFLike, grid: HalfGrid) -> float:
@@ -740,10 +725,11 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> "HalfSolveResult":
     if g is None:
         g = (np.zeros(grid.col_shape, complex), np.zeros(grid.col_shape, complex))
     w = dminus_inverse_plus(f)
-    p = dplus_particular(w)
+    p = dotted_inverse(w, lambda tau, xi: (1, _plus_roots(tau, xi)))
     p_traces = traces(p, 4)
     out = p.copy()
     conds = []
+    factors = weight_factors(MU_D)
     for idx, tau, xi in grid.columns():
         M, (r1, r2) = _boundary_matrix(bc, tau, xi)
         det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
@@ -758,8 +744,9 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> "HalfSolveResult":
         c = np.linalg.solve(M, rhs)
         # norm of the map (boundary data in its trace space) -> (correction
         # in H^{mu_D}): the numerical shadow of the complementing condition
-        n_col = np.array([exp_column_norm(tau, xi, r1, MU_D, grid.Ln),
-                          exp_column_norm(tau, xi, r2, MU_D, grid.Ln)])
+        n_col = np.sqrt([column_weighted_l2_sq(((1.0, r, 0),), tau, xi,
+                                               factors, grid.Ln)
+                         for r in (r1, r2)])
         w_chi = np.array([float(smooth_weight_eval(bc[0].chi, tau, xi)),
                           float(smooth_weight_eval(bc[1].chi, tau, xi))])
         scaled = float(np.linalg.norm(
@@ -800,28 +787,6 @@ def _lift_from_neumann_data(grid: HalfGrid, g: np.ndarray) -> HalfField:
     return exp_field(grid, terms)
 
 
-def _apply_l_entry(i: int, j: int, v: HalfField) -> HalfField:
-    """Apply the (i, j) entry of L = [[i tau, |xi|^2], [-|xi|^2 - i tau, 1]]."""
-    if (i, j) == (0, 0):
-        return apply_poly_operator(v, lambda t, x: (1j * t,))
-    if (i, j) == (0, 1):
-        return apply_poly_operator(v, lambda t, x: (x * x, 0.0, -1.0))
-    if (i, j) == (1, 0):
-        return apply_poly_operator(v, lambda t, x: (-x * x - 1j * t, 0.0, 1.0))
-    return apply_poly_operator(v, lambda t, x: (1.0,))
-
-
-def _apply_adj_entry(i: int, j: int, v: HalfField) -> HalfField:
-    """Apply the (i, j) entry of ad L = [[1, -|xi|^2], [i tau + |xi|^2, i tau]]."""
-    if (i, j) == (0, 0):
-        return apply_poly_operator(v, lambda t, x: (1.0,))
-    if (i, j) == (0, 1):
-        return apply_poly_operator(v, lambda t, x: (-x * x, 0.0, 1.0))
-    if (i, j) == (1, 0):
-        return apply_poly_operator(v, lambda t, x: (1j * t + x * x, 0.0, -1.0))
-    return apply_poly_operator(v, lambda t, x: (1j * t,))
-
-
 def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
                           g2: np.ndarray) -> HalfSolveResult:
     """The adjugate construction for the CHG half-space system.
@@ -831,24 +796,16 @@ def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
     set u = op[ad L]_+ v plus the lift.
     """
     grid = f1.grid
+    L, adj = chg_matrix(grid.n).entries, adj_chg_matrix(grid.n).entries
     psi = (_lift_from_neumann_data(grid, g1), _lift_from_neumann_data(grid, g2))
     neumann = neumann_pair_13()
     zero_g = (np.zeros(grid.col_shape, complex), np.zeros(grid.col_shape, complex))
-    f_tilde = []
-    for i, fi in enumerate((f1, f2)):
-        acc = fi.copy()
-        for j in range(2):
-            lp = _apply_l_entry(i, j, psi[j])
-            acc = acc + HalfField(grid, -lp.samples,
-                                  {k: tuple((-c, r, m) for c, r, m in v)
-                                   for k, v in lp.exp_terms.items()})
-        f_tilde.append(acc)
+    f_tilde = [fi - apply_symbol(psi[0], L[i][0]) - apply_symbol(psi[1], L[i][1])
+               for i, fi in enumerate((f1, f2))]
     v1 = solve_half_scalar(f_tilde[0], zero_g, neumann)
     v2 = solve_half_scalar(f_tilde[1], zero_g, neumann)
-    u = []
-    for i in range(2):
-        acc = _apply_adj_entry(i, 0, v1.u) + _apply_adj_entry(i, 1, v2.u)
-        u.append(acc + psi[i])
+    u = [apply_symbol(v1.u, adj[i][0]) + apply_symbol(v2.u, adj[i][1]) + psi[i]
+         for i in range(2)]
     tr = [traces(ui, 2) for ui in u]
     diag = {
         "norm_u1_E1": halfspace_norm(u[0], E1_ORDER),
@@ -889,13 +846,14 @@ def _sup_column_ratio(u: HalfField, f: HalfField) -> float:
     """max over columns of ||u_col||_{mu_D} / ||f_col||_{0}: the discrete
     operator-norm estimate (data concentrated on a single column)."""
     grid = u.grid
+    factors = weight_factors(MU_D)
     best = 0.0
     for idx, tau, xi in grid.columns():
-        fsq = column_weighted_l2_sq(f.exp_terms.get(idx, ()), tau, xi, 0, grid.Ln)
+        fsq = terms_l2_sq(f.exp_terms.get(idx, ()), grid.Ln)
         if fsq <= 0:
             continue
         usq = column_weighted_l2_sq(u.exp_terms.get(idx, ()), tau, xi,
-                                    MU_D, grid.Ln)
+                                    factors, grid.Ln)
         best = max(best, np.sqrt(usq / fsq))
     return float(best)
 
@@ -942,11 +900,6 @@ def dirichlet_failure_probe(resolutions: Optional[Sequence[tuple]] = None,
             "cond_contrast": edge_dir / edge_neu,
         }
 
-    workers = worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda r: row_for(*r), resolutions))
     return [row_for(K, Nn) for K, Nn in resolutions]
 
 

@@ -12,6 +12,7 @@ floats appear only when weights are evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -37,29 +38,41 @@ def qpoint(r: RatLike, s: RatLike) -> QPoint:
     return QPoint(r, s)
 
 
-def _cross(o: QPoint, a: QPoint, b: QPoint) -> Fraction:
-    return (a.r - o.r) * (b.s - o.s) - (b.r - o.r) * (a.s - o.s)
+_ORIGIN = QPoint(Fraction(0), Fraction(0))
+
+
+def _cross(o, a, b):
+    """Orientation of (o, a, b) for any (r, s) pairs: QPoints or integer pairs."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (b[0] - o[0]) * (a[1] - o[1])
 
 
 def _hull_ccw(points: Sequence[QPoint]) -> list[QPoint]:
-    """Monotone-chain convex hull, CCW, starting at the lexicographic minimum."""
-    pts = sorted(set(points))
+    """Monotone-chain convex hull, CCW, starting at the lexicographic minimum.
+
+    The points are scaled by the common denominator of their coordinates, so
+    the orientation tests run on exact integers instead of Fractions.
+    """
+    uniq = set(points)
+    den = math.lcm(*(c.denominator for p in uniq for c in p))
+    by_int = {(p.r.numerator * (den // p.r.denominator),
+               p.s.numerator * (den // p.s.denominator)): p for p in uniq}
+    pts = sorted(by_int)
     if len(pts) <= 1:
-        return list(pts)
-    lower: list[QPoint] = []
-    for p in pts:
-        while len(lower) > 1 and _cross(lower[-2], lower[-1], p) <= 0:
+        return [by_int[q] for q in pts]
+    lower: list = []
+    for q in pts:
+        while len(lower) > 1 and _cross(lower[-2], lower[-1], q) <= 0:
             lower.pop()
-        lower.append(p)
-    upper: list[QPoint] = []
-    for p in reversed(pts):
-        while len(upper) > 1 and _cross(upper[-2], upper[-1], p) <= 0:
+        lower.append(q)
+    upper: list = []
+    for q in reversed(pts):
+        while len(upper) > 1 and _cross(upper[-2], upper[-1], q) <= 0:
             upper.pop()
-        upper.append(p)
+        upper.append(q)
     hull = lower[:-1] + upper[:-1]
     if len(hull) < 2:  # all points collinear: keep the two extremes
         hull = [pts[0], pts[-1]]
-    return hull
+    return [by_int[q] for q in hull]
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,7 @@ class NewtonPolygon:
     vertices: tuple[QPoint, ...]
 
     def __post_init__(self):
-        if self.vertices[0] != QPoint(Fraction(0), Fraction(0)):
+        if self.vertices[0] != _ORIGIN:
             raise ValueError("canonical vertex list must start at (0,0)")
 
     @property
@@ -84,7 +97,7 @@ class NewtonPolygon:
 
     def upper_chain(self) -> list[QPoint]:
         """Non-origin vertices in CCW order (from the xi-axis up to the s-axis)."""
-        return [v for v in self.vertices if v != QPoint(Fraction(0), Fraction(0))]
+        return [v for v in self.vertices if v != _ORIGIN]
 
     def to_jsonable(self):
         return {"vertices": [[str(v.r), str(v.s)] for v in self.vertices]}
@@ -97,7 +110,7 @@ class NewtonPolygon:
 def polygon_from_exponents(points) -> NewtonPolygon:
     """conv(points + axis projections + origin) with canonical CCW vertex list."""
     pts = [qpoint(p[0], p[1]) for p in points]
-    aug = [QPoint(Fraction(0), Fraction(0))]
+    aug = [_ORIGIN]
     for p in pts:
         aug.append(p)
         aug.append(QPoint(p.r, Fraction(0)))
@@ -471,7 +484,11 @@ def chg_shape(mu: OrderFunction) -> Optional[ChgShape]:
     """Recognize vertices {(0,0),(r1,0),(r2,s2),(0,s2)} with integers r2 < r1."""
     if not mu.strictly_positive or not is_regular_in_time(mu):
         return None
-    chain = polygon_of(mu).upper_chain()
+    # the pieces (b, m) of a strictly positive mu that is regular in time are
+    # the vertices of N(mu) from the xi-axis up; (0, m) on the s-axis closes it
+    chain = [QPoint(b, m) for _, b, m in mu.pieces]
+    if chain[-1].r > 0 and chain[-1].s > 0:
+        chain.append(QPoint(Fraction(0), chain[-1].s))
     if len(chain) == 1:  # segment {(0,0),(r1,0)}: r2 = 0, s2 = 0
         r1 = chain[0].r
         if r1 != int(r1):

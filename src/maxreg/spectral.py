@@ -11,7 +11,6 @@ on which the symbols below may degenerate.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -20,14 +19,6 @@ import numpy as np
 
 from .polygons import OFLike, as_diff, smooth_weight_eval
 from .symbols import MatrixSymbol, SymbolFn, as_symbol
-
-
-def worker_count() -> int:
-    """Worker cap for parallel stages, from MAXREG_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("MAXREG_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,32 @@ class SymbolFn:
         return np.asarray(self.fn(tau, xi))
 
 
+def normal_coeffs(sym) -> Callable:
+    """A radial symbol read as an ODE in x_n: (tau, |xi'|) -> (c_0, ..., c_d).
+
+    Expands |xi|^2 = |xi'|^2 + xi_n^2 and maps xi_n^j -> (-i d/dx_n)^j, so
+    that P(tau, xi) acts on a column as sum_j c_j(tau, |xi'|) d^j/dx_n^j.
+    The expansion is done once, here; the returned map only evaluates it.
+    """
+    poly = sym.fn if isinstance(sym, SymbolFn) else sym
+    if not isinstance(poly, PolySymbol) or not poly.radial:
+        raise ValueError("normal coefficients need a radial PolySymbol")
+    table: dict = {}  # j -> [(coeff, tau power, |xi'| power)]
+    for coeff, i, a in poly.monomials:
+        if a < 0 or a % 2:
+            raise ValueError(f"|xi|^{a} is not a polynomial in xi_n")
+        # |xi|^a = sum_l C(a/2, l) |xi'|^(a-2l) xi_n^(2l), and (-i)^(2l) = (-1)^l
+        for l in range(a // 2 + 1):
+            table.setdefault(2 * l, []).append(
+                (coeff * math.comb(a // 2, l) * (-1) ** l, i, a - 2 * l))
+    monos = tuple(tuple(table.get(j, ())) for j in range(max(table, default=0) + 1))
+
+    def coeffs(tau, xi):
+        return tuple(sum(c * tau ** i * xi ** p for c, i, p in mono)
+                     for mono in monos)
+    return coeffs
+
+
 def as_symbol(sym, order: Optional[OFLike] = None) -> SymbolFn:
     if isinstance(sym, SymbolFn):
         if order is not None and sym.order is None:
@@ -285,18 +311,20 @@ def _sample_ratio(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):
     tau = grid.tau_values()
     xin = grid.xi_norms()
     T, X = np.meshgrid(tau, xin, indexing="ij")
-    if sym.radial:
-        vals = np.abs(np.asarray(sym(T, X), dtype=complex))
-    else:
-        rng = np.random.default_rng(grid.seed)
-        dirs = [np.eye(sym.n)[k] for k in range(sym.n)]
-        for _ in range(grid.n_dirs):
-            v = rng.normal(size=sym.n)
-            dirs.append(v / np.linalg.norm(v))
-        vals = np.zeros(T.shape)
-        for d in dirs:
-            xi_vec = [X * comp for comp in d]
-            vals = np.maximum(vals, np.abs(np.asarray(sym(T, xi_vec), dtype=complex)))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        if sym.radial:
+            vals = np.abs(np.asarray(sym(T, X), dtype=complex))
+        else:
+            rng = np.random.default_rng(grid.seed)
+            dirs = [np.eye(sym.n)[k] for k in range(sym.n)]
+            for _ in range(grid.n_dirs):
+                v = rng.normal(size=sym.n)
+                dirs.append(v / np.linalg.norm(v))
+            vals = np.zeros(T.shape)
+            for d in dirs:
+                xi_vec = [X * comp for comp in d]
+                vals = np.maximum(vals, np.abs(np.asarray(sym(T, xi_vec),
+                                                          dtype=complex)))
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         raise FloatingPointError(

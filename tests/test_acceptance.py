@@ -23,7 +23,7 @@ from maxreg.boundary import (
 from maxreg.factorization import MU_D, chg_matrix, d_symbol, roots
 from maxreg.halfspace import (
     HalfGrid,
-    apply_d_quartic,
+    apply_symbol,
     dirichlet_failure_probe,
     eval_terms,
     exp_field,
@@ -256,7 +256,7 @@ def test_acceptance_8_neumann_well_posedness():
     t0 = time.perf_counter()
     grid = HalfGrid(K=4, Nn=256)
     u_star = random_exp_field(grid, seed=80)
-    f = apply_d_quartic(u_star)
+    f = apply_symbol(u_star, d_symbol())
     tr = traces(u_star, 4)
     res = solve_half_scalar(f, (tr[1], tr[3]), neumann_pair_13())
     diff = exp_field(grid, {
@@ -367,7 +367,7 @@ def test_acceptance_10_collocation_oracle():
              complex(rng_u.uniform(-2, 2), rng_u.uniform(1.0, 2.5)), 0)
             for _ in range(3))
     u_star = exp_field(grid, terms)
-    f = apply_d_quartic(u_star)
+    f = apply_symbol(u_star, d_symbol())
     tr = traces(u_star, 4)
     rng = np.random.default_rng(10)
     cases = []

@@ -97,6 +97,16 @@ def test_check_boundary_neumann_passes(capsys):
     assert code == 0 and rep["data"]["complementing_passed"]
 
 
+def test_overflowing_symbol_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"n": 1, "radial": True, "monomials": [
+        {"re": 1e300, "im": 0.0, "i": 2, "r": 0},
+        {"re": 1.0, "im": 0.0, "i": 0, "r": 4}]}))
+    code, out, err = run(capsys, "check", "ellipticity", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_check_unknown_target(capsys):
     code, out, err = run(capsys, "check", "boundary", "robin")
     assert code == 1 and "unknown boundary condition" in err
@@ -112,6 +122,16 @@ def test_chg_report(capsys):
                                                ["2", "1"], ["0", "1"]]
     assert rep["data"]["factor_residual"] < 1e-10
     assert rep["data"]["ellipticity_constant"] >= 1.0 / (2.0 * 3.0 ** 0.5)
+
+
+def test_export_chg_bundle(capsys, tmp_path):
+    rep_path = tmp_path / "chg.json"
+    run(capsys, "chg", "--out", str(rep_path))
+    out_dir = tmp_path / "bundle"
+    code, _, _ = run(capsys, "export", str(rep_path), "--out", str(out_dir))
+    assert code == 0
+    verts = (out_dir / "polygon_vertices.csv").read_text().splitlines()
+    assert verts == ["r,s", "0,0", "4,0", "2,1", "0,1"]
 
 
 # --- solve -----------------------------------------------------------------
@@ -135,6 +155,18 @@ def test_solve_half_manufactured(capsys):
     assert code == 0
     assert rep["data"]["recovery_error"] < 1e-9
     assert rep["data"]["bc"] == "dirichlet"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "half", "--grid", "T=0"),
+    ("solve", "half", "--grid", "Ln=-1,K=2,Nn=64"),
+    ("solve", "whole", "--grid", "T=0"),
+])
+def test_degenerate_grid_is_one_error_line(capsys, tmp_path, argv):
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_solve_half_ensemble(capsys):
@@ -165,6 +197,16 @@ def test_solve_half_probe_flag(capsys, tmp_path):
                          "--config", str(cfg))
     assert code == 0
     assert [r["K"] for r in rep["data"]["rows"]] == [8, 16]
+
+
+def test_solve_half_probe_is_the_probe_report(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"resolutions": "8:64,16:64"}))
+    _, solve = run_json(capsys, "solve", "half", "--probe",
+                        "--config", str(cfg))
+    _, probe = run_json(capsys, "probe", "--resolutions", "8:64,16:64")
+    assert solve["data"] == probe["data"]
+    assert solve["summary"] == probe["summary"]
 
 
 # --- export ----------------------------------------------------------------

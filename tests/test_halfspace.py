@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from maxreg.boundary import BoundaryOperator, dirichlet_pair, neumann_pair_13
-from maxreg.factorization import MU_D, MU_MINUS, T1_ORDER, roots
+from maxreg.factorization import (
+    MU_D,
+    MU_MINUS,
+    T1_ORDER,
+    adj_chg_matrix,
+    chg_matrix,
+    d_symbol,
+    roots,
+)
 from maxreg.halfspace import (
     E1_ORDER,
     E2_ORDER,
@@ -14,18 +22,17 @@ from maxreg.halfspace import (
     T2_MU_D,
     anticausal_resolvent_samples,
     anticausal_resolvent_terms,
-    apply_d_quartic,
     apply_dminus,
     apply_poly_operator,
+    apply_symbol,
     borderline_datum,
     boundary_norm,
     causal_resolvent_samples,
     causal_resolvent_terms,
-    column_weighted_l2_sq,
+    derivative_matrix,
     dirichlet_failure_probe,
     dminus_inverse_plus,
     dotted_inverse,
-    dplus_particular,
     eval_terms,
     exp_field,
     halfspace_norm,
@@ -40,15 +47,9 @@ from maxreg.halfspace import (
     zero_half_field,
 )
 from maxreg.polygons import smooth_weight_eval
+from maxreg.symbols import PolySymbol, SymbolFn
 
 GRID = HalfGrid(K=4, Nn=256)
-
-
-def _neg(f):
-    return HalfField(f.grid, -f.samples,
-                     {k: tuple((-c, r, m) for c, r, m in v)
-                      for k, v in f.exp_terms.items()},
-                     f.oscillatory)
 
 
 def _random_traces(grid, r1, seed=0):
@@ -71,6 +72,18 @@ def test_grid_validation():
         HalfGrid(K=0)
     with pytest.raises(ValueError):
         HalfGrid(n=3)
+    for bad in ({"T": 0.0}, {"T": -1.0}, {"T": float("nan")}, {"Lx": 0.0},
+                {"Ln": 0.0}, {"Ln": -1.0}):
+        with pytest.raises(ValueError):
+            HalfGrid(K=2, Nn=64, **bad)
+
+
+def test_half_field_sub():
+    u = random_exp_field(GRID, seed=1)
+    v = random_exp_field(GRID, seed=2).materialized()
+    d = u - v
+    assert np.abs(d.values() - (u.values() - v.values())).max() == 0.0
+    assert not any((u - u).exp_terms.values())
 
 
 def test_grid_auto_truncation_is_sixteen_decay_lengths():
@@ -197,10 +210,41 @@ def test_dminus_round_trip_sampled_converges():
     assert errs[1] < 5e-3
 
 
+@pytest.mark.parametrize("name,sym", [("D", d_symbol())]
+                         + [(f"L{i}{j}", chg_matrix().entries[i][j])
+                            for i in range(2) for j in range(2)]
+                         + [(f"adjL{i}{j}", adj_chg_matrix().entries[i][j])
+                            for i in range(2) for j in range(2)])
+def test_apply_symbol_matches_symbol_on_exponentials(name, sym):
+    """op[P] c e^{i rho x} = P(tau, sqrt(|xi'|^2 + rho^2)) c e^{i rho x}."""
+    rng = np.random.default_rng(sum(map(ord, name)))
+    grid = HalfGrid(T=rng.uniform(1.0, 10.0), K=3, n=2, N=4,
+                    Lx=rng.uniform(1.0, 10.0), Nn=64)
+    terms = {idx: ((complex(rng.normal(), rng.normal()),
+                    complex(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)), 0),)
+             for idx, _, _ in grid.columns()}
+    out = apply_symbol(exp_field(grid, terms), sym)
+    for idx, tau, xi in grid.columns():
+        (c, rho, _), = terms[idx]
+        expect = complex(sym(tau, np.sqrt(xi * xi + rho * rho))) * c
+        (got, got_rho, got_m), = out.exp_terms[idx]
+        assert (got_rho, got_m) == (rho, 0)
+        assert abs(got - expect) <= 1e-12 * abs(expect)
+
+
+def test_apply_symbol_rejects_non_polynomial_symbols():
+    u = random_exp_field(GRID, seed=2)
+    for sym in (PolySymbol(1, True, ((1.0, 0, 1),)),       # |xi|, odd power
+                PolySymbol(2, False, ((1.0, 0, (2, 0)),)),  # xi_1^2, not radial
+                SymbolFn(fn=lambda tau, xi: 1j * tau)):    # not a PolySymbol
+        with pytest.raises(ValueError):
+            apply_symbol(u, sym)
+
+
 def test_quartic_splits_through_factors():
     """op[D-] then the two anticausal D+ factors inverts op[D] up to traces."""
     u = random_exp_field(GRID, seed=5)
-    f = apply_d_quartic(u)
+    f = apply_symbol(u, d_symbol())
     w = dminus_inverse_plus(f)
     # D+ applied to u must reproduce w: D- (D+ u) = f and both sides bounded
     def dplus_coeff(tau, xi):
@@ -258,6 +302,15 @@ def test_halfspace_norm_zero_order_is_l2():
     for idx, _, _ in GRID.columns():
         total += terms_l2_sq(u.exp_terms[idx], GRID.Ln)
     assert halfspace_norm(u, 0) == pytest.approx(np.sqrt(GRID.T * total), rel=1e-10)
+
+
+def test_halfspace_norm_builds_derivative_matrix_only_for_samples():
+    u = random_exp_field(GRID, seed=8)
+    derivative_matrix.cache_clear()
+    halfspace_norm(u, MU_D)
+    assert derivative_matrix.cache_info().misses == 0
+    halfspace_norm(u.materialized(), MU_D)
+    assert derivative_matrix.cache_info().misses == 1
 
 
 def test_halfspace_norm_sampled_matches_exact():
@@ -352,7 +405,7 @@ def test_dotted_inverse_trace_annihilation_sampled():
 
 def _manufactured(grid, seed):
     u_star = random_exp_field(grid, seed=seed)
-    f = apply_d_quartic(u_star)
+    f = apply_symbol(u_star, d_symbol())
     tr = traces(u_star, 4)
     return u_star, f, tr
 
@@ -360,21 +413,21 @@ def _manufactured(grid, seed):
 def test_solve_scalar_neumann_manufactured():
     u_star, f, tr = _manufactured(GRID, 13)
     res = solve_half_scalar(f, (tr[1], tr[3]), neumann_pair_13())
-    err = halfspace_norm(res.u + _neg(u_star), MU_D)
+    err = halfspace_norm(res.u - u_star, MU_D)
     assert err < 1e-9 * halfspace_norm(u_star, MU_D)
 
 
 def test_solve_scalar_dirichlet_manufactured():
     u_star, f, tr = _manufactured(GRID, 14)
     res = solve_half_scalar(f, (tr[0], tr[1]), dirichlet_pair())
-    err = halfspace_norm(res.u + _neg(u_star), MU_D)
+    err = halfspace_norm(res.u - u_star, MU_D)
     assert err < 1e-9 * halfspace_norm(u_star, MU_D)
 
 
 def test_solve_scalar_interior_residual():
     _, f, tr = _manufactured(GRID, 15)
     res = solve_half_scalar(f, (tr[1], tr[3]), neumann_pair_13())
-    back = apply_d_quartic(res.u)
+    back = apply_symbol(res.u, d_symbol())
     assert np.abs(back.values() - f.values()).max() \
         < 1e-9 * np.abs(f.values()).max()
 
@@ -477,14 +530,14 @@ def test_system_zero_data_gives_zero():
 
 
 def test_system_interior_and_boundary_residuals():
-    from maxreg.halfspace import _apply_l_entry
+    L = chg_matrix().entries
     f1 = random_exp_field(GRID, seed=18)
     f2 = random_exp_field(GRID, seed=19)
     g1, g2 = _random_boundary(GRID, 20), _random_boundary(GRID, 21)
     res = solve_half_chg_system(f1, f2, g1, g2)
     u1, u2 = res.u
     for i, fi in enumerate((f1, f2)):
-        row = _apply_l_entry(i, 0, u1) + _apply_l_entry(i, 1, u2)
+        row = apply_symbol(u1, L[i][0]) + apply_symbol(u2, L[i][1])
         err = np.abs(row.values() - fi.values()).max()
         assert err < 1e-7 * np.abs(fi.values()).max()
     assert res.diagnostics["bdry_residual_1"] < 1e-10 * np.abs(g1).max()

@@ -18,7 +18,6 @@ from maxreg.spectral import (
     read_field,
     solve_whole_scalar,
     solve_whole_system,
-    worker_count,
     write_field,
     zero_field,
 )
@@ -260,11 +259,3 @@ def test_norm_table():
     assert rows[0]["norm"] == pytest.approx(norm_weighted(f, 0))
     assert rows[1]["norm"] > rows[0]["norm"]
 
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("MAXREG_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("MAXREG_THREADS", "bogus")
-    assert worker_count() == 1
-    monkeypatch.delenv("MAXREG_THREADS")
-    assert worker_count() == 1
