@@ -36,8 +36,9 @@ from .symbols import (
     PolySymbol,
     SymbolFn,
     as_symbol,
-    det,
+    invertibility_report,
     mixed_order_certify,
+    sample_matrix,
 )
 
 F = Fraction
@@ -99,6 +100,11 @@ class BoundaryOperator:
             acc = acc + np.asarray(c(tau, xi_prime_norm)) * (1j * rho) ** j
         return acc
 
+    def apply_to_traces(self, tau, xi_prime_norm, tr) -> complex:
+        """B u = sum_j b_j Tr_j u at one column, from its traces tr[0..3]."""
+        return sum(complex(c(tau, xi_prime_norm)) * tr[j]
+                   for j, c in enumerate(self.coeffs))
+
 
 def trace_operator(j: int, chi: Optional[OFLike] = None,
                    name: str = "") -> BoundaryOperator:
@@ -107,26 +113,6 @@ def trace_operator(j: int, chi: Optional[OFLike] = None,
     return BoundaryOperator(tuple(coeffs),
                             chi=None if chi is None else as_diff(chi),
                             name=name or f"Tr_{j}")
-
-
-@dataclass(frozen=True)
-class ExtendedBoundaryMatrix:
-    """The (4+m)x(4+m) matrix [boundary rows; shifted D+ band] with orders."""
-
-    m: int
-    matrix: MatrixSymbol
-    nu: OrderFunction
-    bc: tuple[BoundaryOperator, BoundaryOperator]
-
-    @property
-    def size(self) -> int:
-        return 4 + self.m
-
-    def evaluate(self, tau, xi_prime_norm) -> np.ndarray:
-        return self.matrix.evaluate(tau, xi_prime_norm)
-
-    def det_symbol(self) -> SymbolFn:
-        return det(self.matrix)
 
 
 def _default_chi(op: BoundaryOperator, nu: OrderFunction,
@@ -144,7 +130,7 @@ def _default_chi(op: BoundaryOperator, nu: OrderFunction,
 def build_extended_matrix(bc: Sequence[BoundaryOperator], m: int = 0,
                           nu: OrderFunction = ZERO_OF,
                           chis: Optional[Sequence[Optional[OFLike]]] = None,
-                          ) -> ExtendedBoundaryMatrix:
+                          ) -> MatrixSymbol:
     """Assemble B^(m): rows 1-2 from the boundary coefficients, rows >= 3
     the shifted band (d0+, d1+, -1) of D+.
 
@@ -177,19 +163,13 @@ def build_extended_matrix(bc: Sequence[BoundaryOperator], m: int = 0,
     row_orders = tuple(
         [of_neg(_default_chi(op, nu, ov)) for op, ov in zip(bc, chis)]
         + [of_neg(trace_order_function(MU_MINUS + nu, i)) for i in range(size - 2)])
-    M = MatrixSymbol(tuple(rows), row_orders=row_orders, col_orders=col_orders)
-    return ExtendedBoundaryMatrix(m=m, matrix=M, nu=nu, bc=tuple(bc))
+    return MatrixSymbol(tuple(rows), row_orders=row_orders, col_orders=col_orders)
 
 
-def lopatinskii_check(B: ExtendedBoundaryMatrix,
-                      grid: GridSpec = GridSpec()) -> dict:
+def lopatinskii_check(B: MatrixSymbol, grid: GridSpec = GridSpec()) -> dict:
     """Pointwise invertibility of the extended matrix over the grid."""
-    T, X = np.meshgrid(grid.tau_values(), grid.xi_norms(), indexing="ij")
-    d = np.abs(B.det_symbol()(T, X))
-    idx = np.unravel_index(int(d.argmin()), d.shape)
-    return {"pass": bool(d.min() > 0), "min_abs_det": float(d.min()),
-            "max_abs_det": float(d.max()),
-            "argmin": {"tau": float(T[idx]), "xi": float(X[idx])}}
+    T, X, _, abs_det = sample_matrix(B, grid)
+    return invertibility_report(T, X, abs_det)
 
 
 def complementing_check(bc: Sequence[BoundaryOperator],
@@ -206,9 +186,9 @@ def complementing_check(bc: Sequence[BoundaryOperator],
             raise ValueError("ord nu must be a nonnegative integer "
                              "(or pass m explicitly)")
     B = build_extended_matrix(ops, m=m, nu=nu, chis=(chi1, chi2))
-    out = mixed_order_certify(B.matrix, grid=grid)
+    out = mixed_order_certify(B, grid=grid)
     out["matrix"] = B
-    out["lopatinskii"] = lopatinskii_check(B, grid)
+    out["lopatinskii"] = out.pop("invertibility")
     return out
 
 

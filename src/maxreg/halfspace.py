@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .boundary import BoundaryOperator, dirichlet_pair, neumann_pair_13
+from .boundary import dirichlet_pair, neumann_pair_13
 from .factorization import (
     MU_D,
     MU_MINUS,
@@ -80,6 +80,8 @@ class HalfGrid:
             raise ValueError("K >= 1 and Nn >= 64 required")
         if self.n not in (1, 2):
             raise ValueError("total spatial dimension must be 1 or 2")
+        if self.n == 2 and not self.N >= 1:
+            raise ValueError("N >= 1 tangential samples required for n = 2")
         if not (self.T > 0 and self.Lx > 0):
             raise ValueError("positive box and period")
         if self.Ln is not None and not self.Ln > 0:
@@ -703,15 +705,6 @@ def _boundary_matrix(bc, tau, xi):
     return M, (r1, r2)
 
 
-def _apply_boundary_operator(op: BoundaryOperator, tr: np.ndarray,
-                             tau, xi) -> complex:
-    """B(p) from the first four traces tr[j] of a column."""
-    acc = 0.0 + 0.0j
-    for j, c in enumerate(op.coeffs):
-        acc += complex(c(tau, xi)) * tr[j]
-    return acc
-
-
 def solve_half_scalar(f: HalfField, g, bc=None) -> "HalfSolveResult":
     """Solve op[D]_+ u = f, B_1 u = g_1, B_2 u = g_2 column by column.
 
@@ -738,9 +731,9 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> "HalfSolveResult":
             raise ZeroDivisionError(
                 f"Lopatinskii violation: singular boundary system at column "
                 f"k={idx[0] - grid.K}, |xi'|={xi:.6g}")
-        rhs = np.array([
-            g[0][idx] - _apply_boundary_operator(bc[0], p_traces[(slice(None),) + idx], tau, xi),
-            g[1][idx] - _apply_boundary_operator(bc[1], p_traces[(slice(None),) + idx], tau, xi)])
+        tr = p_traces[(slice(None),) + idx]
+        rhs = np.array([g[0][idx] - bc[0].apply_to_traces(tau, xi, tr),
+                        g[1][idx] - bc[1].apply_to_traces(tau, xi, tr)])
         c = np.linalg.solve(M, rhs)
         # norm of the map (boundary data in its trace space) -> (correction
         # in H^{mu_D}): the numerical shadow of the complementing condition

@@ -306,11 +306,19 @@ class CertReport:
                 "details": self.details}
 
 
+def _require_finite(vals: np.ndarray, T: np.ndarray, X: np.ndarray) -> None:
+    """Raise at the first non-finite value on the mesh; a stack of matrices
+    (mesh axes first) is scanned entry by entry, in row-major order."""
+    bad = np.moveaxis(~np.isfinite(vals), (0, 1), (-2, -1))
+    if bad.any():
+        pt = tuple(np.argwhere(bad)[0][-2:])
+        raise FloatingPointError(
+            f"symbol evaluation not finite at tau={T[pt]}, |xi|={X[pt]}")
+
+
 def _sample_ratio(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):
     """|P|/W_mu over the grid; returns (tau mesh, |xi| mesh, ratio)."""
-    tau = grid.tau_values()
-    xin = grid.xi_norms()
-    T, X = np.meshgrid(tau, xin, indexing="ij")
+    T, X = np.meshgrid(grid.tau_values(), grid.xi_norms(), indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if sym.radial:
             vals = np.abs(np.asarray(sym(T, X), dtype=complex))
@@ -325,18 +333,26 @@ def _sample_ratio(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):
                 xi_vec = [X * comp for comp in d]
                 vals = np.maximum(vals, np.abs(np.asarray(sym(T, xi_vec),
                                                           dtype=complex)))
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
-        raise FloatingPointError(
-            f"symbol evaluation not finite at tau={T[tuple(bad)]}, |xi|={X[tuple(bad)]}")
-    W = weight_eval(mu, T, X)
-    return T, X, vals / W
+    _require_finite(vals, T, X)
+    return T, X, vals / weight_eval(mu, T, X)
 
 
-def upper_bound_certify(sym, mu: OFLike, grid: GridSpec = GridSpec()) -> CertReport:
-    sym = as_symbol(sym)
-    mu = as_diff(mu)
-    T, X, ratio = _sample_ratio(sym, mu, grid)
+def sample_matrix(M: MatrixSymbol, grid: GridSpec):
+    """(tau mesh, |xi| mesh, |M_ij| as (..., m, m), |det M|) from one
+    evaluation of M; the entries are checked before the determinant."""
+    if not all(e.radial for row in M.entries for e in row):
+        raise ValueError("mixed-order certification needs radial entries")
+    T, X = np.meshgrid(grid.tau_values(), grid.xi_norms(), indexing="ij")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        vals = M.evaluate(T, X)
+        abs_entries = np.abs(vals)
+        _require_finite(abs_entries, T, X)
+        abs_det = np.abs(np.linalg.det(vals))
+    _require_finite(abs_det, T, X)
+    return T, X, abs_entries, abs_det
+
+
+def _upper_report(T, X, ratio, grid: GridSpec) -> CertReport:
     c = float(ratio.max())
     idx = np.unravel_index(int(ratio.argmax()), ratio.shape)
     return CertReport(kind="upper_bound", passed=bool(np.isfinite(c)),
@@ -344,13 +360,7 @@ def upper_bound_certify(sym, mu: OFLike, grid: GridSpec = GridSpec()) -> CertRep
                       details={"argmax": {"tau": float(T[idx]), "xi": float(X[idx])}})
 
 
-def ellipticity_certify(sym, mu: OFLike, lam: Optional[float] = None,
-                        grid: GridSpec = GridSpec(), floor: float = 0.0) -> CertReport:
-    sym = as_symbol(sym)
-    mu = as_diff(mu)
-    if lam is not None and lam != grid.lam:
-        grid = replace(grid, lam=lam)
-    T, X, ratio = _sample_ratio(sym, mu, grid)
+def _ellipticity_report(T, X, ratio, grid: GridSpec, floor: float) -> CertReport:
     mask = np.abs(T) >= grid.lam * (1 - 1e-12)
     vals = np.where(mask, ratio, np.inf)
     c_lo = float(vals.min())
@@ -362,13 +372,33 @@ def ellipticity_certify(sym, mu: OFLike, lam: Optional[float] = None,
                                "argmin": {"tau": float(T[idx]), "xi": float(X[idx])}})
 
 
-def _ray_decay_witness(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):
+def invertibility_report(T, X, abs_det) -> dict:
+    """Pointwise invertibility over the mesh, read off |det| sampled there."""
+    idx = np.unravel_index(int(abs_det.argmin()), abs_det.shape)
+    return {"pass": bool(abs_det.min() > 0), "min_abs_det": float(abs_det.min()),
+            "max_abs_det": float(abs_det.max()),
+            "argmin": {"tau": float(T[idx]), "xi": float(X[idx])}}
+
+
+def upper_bound_certify(sym, mu: OFLike, grid: GridSpec = GridSpec()) -> CertReport:
+    T, X, ratio = _sample_ratio(as_symbol(sym), as_diff(mu), grid)
+    return _upper_report(T, X, ratio, grid)
+
+
+def ellipticity_certify(sym, mu: OFLike, lam: Optional[float] = None,
+                        grid: GridSpec = GridSpec(), floor: float = 0.0) -> CertReport:
+    if lam is not None and lam != grid.lam:
+        grid = replace(grid, lam=lam)
+    T, X, ratio = _sample_ratio(as_symbol(sym), as_diff(mu), grid)
+    return _ellipticity_report(T, X, ratio, grid, floor)
+
+
+def _ray_decay_witness(T, X, ratio, grid: GridSpec) -> list:
     """Fitted log-log slope of |det|/W over the top tau-decade of each xi-ray.
 
-    Returns (worst_slope, witness dict).  A clearly negative slope exposes a
-    ratio that decays along the ray (ellipticity failure in the limit).
+    Returns one record per ray.  A clearly negative slope exposes a ratio
+    that decays along the ray (ellipticity failure in the limit).
     """
-    T, X, ratio = _sample_ratio(sym, mu, grid)
     rays = []
     half = T.shape[0] // 2
     tau_pos = T[half:, 0]
@@ -398,22 +428,21 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec(),
     (fitted slope below -slope_tol) and has already fallen under
     decay_ratio_max at the grid edge; this separates genuine power-law
     decay from a benign crossover between growth regimes, where the ratio
-    dips but stays order one.
+    dips but stays order one.  Every report, and the pointwise
+    invertibility of M, comes from one evaluation of M on the mesh.
     """
     if M.row_orders is None or M.col_orders is None:
         raise ValueError("mixed-order certification requires row/column orders")
+    T, X, abs_entries, abs_det = sample_matrix(M, grid)
     entry_reports = {}
-    ok = True
-    for i, row in enumerate(M.entries):
-        for j, e in enumerate(row):
-            mu_ij = of_add(M.row_orders[i], M.col_orders[j])
-            rep = upper_bound_certify(e, mu_ij, grid)
-            entry_reports[f"{i},{j}"] = rep
-            ok = ok and rep.passed
+    for i, s in enumerate(M.row_orders):
+        for j, t in enumerate(M.col_orders):
+            ratio = abs_entries[..., i, j] / weight_eval(of_add(s, t), T, X)
+            entry_reports[f"{i},{j}"] = _upper_report(T, X, ratio, grid)
     delta = M.delta()
-    d = det(M)
-    det_rep = ellipticity_certify(d, delta, grid=grid, floor=floor)
-    rays = _ray_decay_witness(d, delta, grid)
+    ratio = abs_det / weight_eval(delta, T, X)
+    det_rep = _ellipticity_report(T, X, ratio, grid, floor)
+    rays = _ray_decay_witness(T, X, ratio, grid)
     failing = [r for r in rays
                if r["slope"] < -slope_tol and r["ratio_at_end"] < decay_ratio_max]
     if failing:
@@ -425,6 +454,8 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec(),
     else:
         witness = min(rays, key=lambda r: r["slope"]) if rays else None
     slope = witness["slope"] if witness else 0.0
-    passed = bool(ok and det_rep.passed and not failing)
+    passed = bool(all(r.passed for r in entry_reports.values())
+                  and det_rep.passed and not failing)
     return {"passed": passed, "delta": delta, "entries": entry_reports,
-            "det": det_rep, "decay_witness": witness, "worst_slope": slope}
+            "det": det_rep, "decay_witness": witness, "worst_slope": slope,
+            "invertibility": invertibility_report(T, X, abs_det)}

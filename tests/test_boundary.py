@@ -17,7 +17,7 @@ from maxreg.boundary import (
     neumann_pair_13,
     trace_operator,
 )
-from maxreg.factorization import MU_D, dplus_coeffs, roots
+from maxreg.factorization import MU_D, chg_matrix, dplus_coeffs, roots
 from maxreg.polygons import (
     as_diff,
     o_elem,
@@ -26,7 +26,7 @@ from maxreg.polygons import (
     of_neg,
     trace_order_function,
 )
-from maxreg.symbols import GridSpec
+from maxreg.symbols import GridSpec, MatrixSymbol, det, mixed_order_certify
 
 O_HALF = o_elem(F(1, 2))
 
@@ -85,7 +85,7 @@ def test_band_structure_audit():
 
 def test_neumann_det_is_minus_d0_d1():
     B = build_extended_matrix(neumann_pair_13())
-    d = B.det_symbol()
+    d = det(B)
     tau, xip = _sample_points()
     fc = dplus_coeffs(tau, xip)
     expect = -fc.d0_plus * fc.d1_plus
@@ -97,7 +97,7 @@ def test_neumann_m1_det_is_plus_d0_d1():
     tau, xip = _sample_points()
     fc = dplus_coeffs(tau, xip)
     expect = fc.d0_plus * fc.d1_plus
-    got = B.det_symbol()(tau, xip)
+    got = det(B)(tau, xip)
     assert np.abs(got - expect).max() / np.abs(expect).max() < 1e-10
 
 
@@ -107,7 +107,7 @@ def test_neumann_column_orders():
               O_HALF.scale(2) + of_const(F(1, 2)),
               O_HALF.scale(F(3, 2)),
               O_HALF.scale(F(1, 2)))
-    assert B.matrix.col_orders == tuple(as_diff(e) for e in expect)
+    assert B.col_orders == tuple(as_diff(e) for e in expect)
 
 
 def test_neumann_row_orders():
@@ -116,7 +116,7 @@ def test_neumann_row_orders():
               of_neg(O_HALF.scale(F(1, 2))),                # -T_3(mu_D)
               of_neg(O_HALF + of_const(F(1, 2))),           # -T_0(mu_-)
               of_neg(O_HALF.scale(F(1, 2))))                # -T_1(mu_-)
-    assert B.matrix.row_orders == expect
+    assert B.row_orders == expect
 
 
 def test_lopatinskii_neumann_passes():
@@ -148,7 +148,7 @@ def test_complementing_neumann_nu0():
 def test_complementing_neumann_nu1():
     out = complementing_check(neumann_pair_13(), nu=of_const(1))
     assert out["passed"]
-    assert out["matrix"].size == 5
+    assert out["matrix"].m == 5
     assert out["delta"] == as_diff(O_HALF.scale(2) + of_const(1))
 
 
@@ -171,6 +171,32 @@ def test_complementing_implies_lopatinskii():
         out = complementing_check(bc)
         if out["passed"]:
             assert out["lopatinskii"]["pass"]
+
+
+@pytest.mark.parametrize("certify", [
+    lambda grid: complementing_check(neumann_pair_13(), grid=grid),
+    lambda grid: complementing_check(neumann_pair_13(), nu=of_const(1),
+                                     grid=grid),
+    lambda grid: mixed_order_certify(chg_matrix(), grid=grid),
+])
+def test_one_matrix_evaluation_per_certification(monkeypatch, certify):
+    calls = []
+    evaluate = MatrixSymbol.evaluate
+
+    def counted(self, tau, xi):
+        calls.append(self)
+        return evaluate(self, tau, xi)
+    monkeypatch.setattr(MatrixSymbol, "evaluate", counted)
+    out = certify(GridSpec(n_tau=16, n_xi=16))
+    assert out["passed"] and len(calls) == 1
+
+
+def test_complementing_lopatinskii_matches_standalone_check():
+    grid = GridSpec(n_tau=16, n_xi=16)
+    for bc in (neumann_pair_13(), dirichlet_pair()):
+        out = complementing_check(bc, grid=grid)
+        assert out["lopatinskii"] == lopatinskii_check(out["matrix"], grid)
+        assert "invertibility" not in out
 
 
 def _ls_division_oracle(bc, tau, xip, tol=1e-8):
@@ -209,7 +235,7 @@ def test_ls_matches_polynomial_division_oracle():
         bc = (BoundaryOperator(tuple(c1), chi=O_HALF),
               BoundaryOperator(tuple(c2), chi=O_HALF))
         B = build_extended_matrix(bc)
-        d = B.det_symbol()
+        d = det(B)
         for tau in tau_values:
             for xip in xi_values:
                 det_pass = abs(d(tau, xip)) > 1e-8 * max(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from maxreg.boundary import bc_to_jsonable, neumann_pair_13
 from maxreg.cli import main, parse_grid
 from maxreg.factorization import d_symbol
 
@@ -107,6 +108,34 @@ def test_overflowing_symbol_is_one_error_line(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def _boundary_file(tmp_path, coeff):
+    """The Tr_1/Tr_3 Neumann pair with coeff in place of b_1 of B_1."""
+    obj = bc_to_jsonable(neumann_pair_13())
+    obj["ops"][0]["coeffs"][1] = {"poly": coeff}
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_overflowing_boundary_file_is_one_error_line(capsys, tmp_path):
+    path = _boundary_file(tmp_path, {"n": 1, "radial": True, "monomials": [
+        {"re": 1e300, "im": 0.0, "i": 2, "r": 0},
+        {"re": 1.0, "im": 0.0, "i": 0, "r": 0}]})
+    code, out, err = run(capsys, "check", "boundary", path)
+    assert code == 1 and out == ""
+    assert err == "error: symbol evaluation not finite at tau=-1000000.0, |xi|=0.0\n"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_non_radial_boundary_file_is_one_error_line(capsys, tmp_path, n):
+    path = _boundary_file(tmp_path, {"n": n, "radial": False, "monomials": [
+        {"re": 1.0, "im": 0.0, "i": 0, "alpha": [0] * n}]})
+    code, out, err = run(capsys, "check", "boundary", path)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "radial entries" in err
+
+
 def test_check_unknown_target(capsys):
     code, out, err = run(capsys, "check", "boundary", "robin")
     assert code == 1 and "unknown boundary condition" in err
@@ -161,6 +190,10 @@ def test_solve_half_manufactured(capsys):
     ("solve", "half", "--grid", "T=0"),
     ("solve", "half", "--grid", "Ln=-1,K=2,Nn=64"),
     ("solve", "whole", "--grid", "T=0"),
+    ("solve", "half", "--grid", "K=2,Nn=64,Ln=1e-300"),
+    ("solve", "half", "--grid", "K=2,Nn=64,T=1e-300"),
+    ("solve", "half", "--grid", "K=2,n=2,N=0,Nn=64"),
+    ("solve", "half", "--grid", "K=2,n=2,N=-2,Nn=64"),
 ])
 def test_degenerate_grid_is_one_error_line(capsys, tmp_path, argv):
     out_path = tmp_path / "report.json"

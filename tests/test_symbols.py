@@ -179,6 +179,20 @@ def test_mixed_order_chg_passes_and_delta_is_mu_d():
     assert out["delta"] == as_diff(MU_D)
 
 
+def test_mixed_order_reports_match_single_symbol_certificates():
+    """The one-evaluation matrix path agrees with the per-symbol reference."""
+    from maxreg.boundary import build_extended_matrix, neumann_pair_13
+    grid = GridSpec(n_tau=16, n_xi=16)
+    for M in (chg_matrix(), build_extended_matrix(neumann_pair_13())):
+        out = mixed_order_certify(M, grid=grid)
+        for i, s in enumerate(M.row_orders):
+            for j, t in enumerate(M.col_orders):
+                assert out["entries"][f"{i},{j}"] == upper_bound_certify(
+                    M.entries[i][j], of_add(s, t), grid)
+        assert out["det"] == ellipticity_certify(det(M), M.delta(), grid=grid,
+                                                 floor=1e-8)
+
+
 def test_pointwise_det_elliptic_bound_zero_tolerance():
     """|D| >= (min(1,lam)/(2 sqrt 3)) W_{mu_D} at every grid point."""
     from maxreg.polygons import weight_eval
