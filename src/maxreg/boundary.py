@@ -82,6 +82,9 @@ class BoundaryOperator:
             if isinstance(c, (int, float, complex)):
                 c = PolySymbol(1, True, ((complex(c), 0, 0),))
             coerced.append(as_symbol(c))
+        if not all(c.radial for c in coerced):
+            raise ValueError("boundary operators need radial entries: "
+                             "coefficients in tau and |xi'|")
         object.__setattr__(self, "coeffs", tuple(coerced))
         if self.chi is not None:
             object.__setattr__(self, "chi", as_diff(self.chi))
@@ -100,9 +103,10 @@ class BoundaryOperator:
             acc = acc + np.asarray(c(tau, xi_prime_norm)) * (1j * rho) ** j
         return acc
 
-    def apply_to_traces(self, tau, xi_prime_norm, tr) -> complex:
-        """B u = sum_j b_j Tr_j u at one column, from its traces tr[0..3]."""
-        return sum(complex(c(tau, xi_prime_norm)) * tr[j]
+    def apply_to_traces(self, tau, xi_prime_norm, tr) -> np.ndarray:
+        """B u = sum_j b_j(tau, |xi'|) Tr_j u from the traces tr[0..3], each
+        an array over the columns at (tau, |xi'|)."""
+        return sum(np.asarray(c(tau, xi_prime_norm)) * tr[j]
                    for j, c in enumerate(self.coeffs))
 
 

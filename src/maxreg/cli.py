@@ -470,11 +470,11 @@ def _solve_half(cfg):
     bc = load_boundary_pair(bc_name)
     u_star = random_exp_field(grid, seed=seed)
     f = apply_symbol(u_star, d_symbol())
-    tr = traces(u_star, 4)
+    index, tau, xi = grid.column_mesh()
+    tr = traces(u_star, 4)[(slice(None),) + index]
     g = [np.zeros(grid.col_shape, complex) for _ in range(2)]
-    for idx, tau, xi in grid.columns():
-        for i in range(2):
-            g[i][idx] = bc[i].apply_to_traces(tau, xi, tr[(slice(None),) + idx])
+    for gi, op in zip(g, bc):
+        gi[index] = op.apply_to_traces(tau, xi, tr)
     res = solve_half_scalar(f, tuple(g), bc)
     denom = max(halfspace_norm(u_star, MU_D), 1e-300)
     err = halfspace_norm(res.u - u_star, MU_D) / denom

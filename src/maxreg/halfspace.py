@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -44,6 +44,7 @@ from .polygons import (
     smooth_weight_eval,
     trace_order_function,
 )
+from .spectral import SolveResult, require_integers
 from .symbols import normal_coeffs
 
 # exponential-sum terms: (coefficient, exponent rho with Im rho >= 0, power m)
@@ -76,6 +77,7 @@ class HalfGrid:
     Nn: int = 512
 
     def __post_init__(self):
+        require_integers(self, "K", "N", "Nn")
         if self.K < 1 or self.Nn < 64:
             raise ValueError("K >= 1 and Nn >= 64 required")
         if self.n not in (1, 2):
@@ -100,9 +102,6 @@ class HalfGrid:
     def xn(self) -> np.ndarray:
         return np.linspace(0.0, self.Ln, self.Nn)
 
-    def k_values(self) -> np.ndarray:
-        return np.arange(-self.K, self.K + 1)
-
     @property
     def col_shape(self) -> tuple:
         return (2 * self.K + 1,) if self.n == 1 else (2 * self.K + 1, self.N)
@@ -111,22 +110,22 @@ class HalfGrid:
     def shape(self) -> tuple:
         return self.col_shape + (self.Nn,)
 
-    def xi_prime_axis(self) -> np.ndarray:
-        if self.n == 1:
-            return np.zeros(1)
-        return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.Lx / self.N)
+    def column_mesh(self) -> tuple:
+        """(index, tau, |xi'|) of the live (k != 0) columns in row-major order:
+        index holds one integer array per column axis, so a[index] gathers
+        the live columns of a col_shape array; tau and |xi'| are float arrays."""
+        live = np.ones(self.col_shape, dtype=bool)
+        live[self.K] = False
+        index = np.nonzero(live)
+        tau = (index[0] - self.K) * self.omega
+        xi = (np.abs(2.0 * np.pi * np.fft.fftfreq(self.N, d=self.Lx / self.N))[index[1]]
+              if self.n == 2 else np.zeros(tau.size))
+        return index, tau, xi
 
-    def columns(self, live_only: bool = True):
-        """Yield (index, tau, |xi'|) over the (k, xi'-mode) column grid."""
-        xi = self.xi_prime_axis()
-        for ik, k in enumerate(self.k_values()):
-            if live_only and k == 0:
-                continue
-            if self.n == 1:
-                yield (ik,), k * self.omega, 0.0
-            else:
-                for j in range(self.N):
-                    yield (ik, j), k * self.omega, abs(float(xi[j]))
+    def columns(self):
+        """(index, tau, |xi'|) per live column, in column_mesh order."""
+        index, tau, xi = self.column_mesh()
+        return zip(zip(*(i.tolist() for i in index)), tau, xi)
 
     def to_jsonable(self):
         return {"T": self.T, "K": self.K, "n": self.n, "N": self.N,
@@ -445,18 +444,27 @@ def _simpson(y: np.ndarray, h: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _over_columns(grid: HalfGrid, fn: Callable):
+    """(index, (v_1, v_2, ...)) per live column, as Python numbers, where
+    fn(tau, |xi'|), called once on the column_mesh arrays, returns the v_j as
+    arrays over the live columns or as scalars."""
+    index, tau, xi = grid.column_mesh()
+    per_column = zip(*(np.broadcast_to(v, tau.shape).tolist() for v in fn(tau, xi)))
+    return zip(zip(*(i.tolist() for i in index)), per_column)
+
+
 def apply_poly_operator(f: HalfField, coeff_fn: Callable) -> HalfField:
     """Apply sum_j c_j(tau, |xi'|) d^j/dx^j column-wise.
 
-    coeff_fn(tau, xi_prime_norm) returns the coefficient list (c_0, c_1, ...).
-    Exponential-sum parts are differentiated exactly; sampled parts use the
-    4th-order finite-difference matrices.
+    coeff_fn(tau, xi_prime_norm), called once on the column_mesh arrays,
+    returns the coefficient list (c_0, c_1, ...), each an array over the
+    live columns or a scalar.  Exponential-sum parts are differentiated
+    exactly; sampled parts use the 4th-order finite-difference matrices.
     """
     grid = f.grid
     out_samples = np.zeros(grid.shape, complex)
     out_terms = {}
-    for idx, tau, xi in grid.columns():
-        coeffs = coeff_fn(tau, xi)
+    for idx, coeffs in _over_columns(grid, coeff_fn):
         col = f.samples[idx]
         if np.any(col):
             acc = coeffs[0] * col
@@ -483,21 +491,11 @@ def apply_symbol(f: HalfField, sym) -> HalfField:
     return apply_poly_operator(f, normal_coeffs(sym))
 
 
-def _minus_roots(tau: float, xi: float):
-    rq = roots(tau, xi)
-    return complex(rq.rho1_minus), complex(rq.rho2_minus)
-
-
-def _plus_roots(tau: float, xi: float):
-    rq = roots(tau, xi)
-    return complex(rq.rho1_plus), complex(rq.rho2_plus)
-
-
 def apply_dminus(f: HalfField) -> HalfField:
     """Forward op[D-] = d2 d^2/dx^2 + d1 d/dx + d0 (factorization.dplus_coeffs)."""
     def coeffs(tau, xi):
         fc = dplus_coeffs(tau, xi)
-        return (complex(fc.d0_minus), complex(fc.d1_minus), fc.d2_minus)
+        return (fc.d0_minus, fc.d1_minus, fc.d2_minus)
     return apply_poly_operator(f, coeffs)
 
 
@@ -508,8 +506,8 @@ def dminus_inverse_plus(f: HalfField) -> HalfField:
     grid = f.grid
     out_samples = np.zeros(grid.shape, complex)
     out_terms = {}
-    for idx, tau, xi in grid.columns():
-        r1, r2 = _minus_roots(tau, xi)
+    # RootQuadruple.all()[2:] is (rho1_minus, rho2_minus)
+    for idx, (r1, r2) in _over_columns(grid, lambda tau, xi: roots(tau, xi).all()[2:]):
         col = f.samples[idx]
         if np.any(col):
             v = causal_resolvent_samples(r2, col, grid.h)
@@ -523,20 +521,20 @@ def dminus_inverse_plus(f: HalfField) -> HalfField:
     return HalfField(grid, out_samples, out_terms)
 
 
-def dotted_inverse(f: HalfField, factor_fn: Callable) -> HalfField:
+def dotted_inverse(f: HalfField, roots_fn: Callable) -> HalfField:
     """Chained anticausal resolvents (the dotted one-sided inverse).
 
-    factor_fn(tau, xi) returns (prefactor, [rho_1, ..., rho_r]) so the
-    inverted symbol is prefactor^{-1} * prod (xi_n - rho_j)^{-1}, all
-    rho_j in the upper half plane.
+    roots_fn(tau, xi), called once on the column_mesh arrays, returns
+    [rho_1, ..., rho_r] (arrays over the live columns, or scalars) so the
+    inverted symbol is prod (xi_n - rho_j)^{-1}, all rho_j in the upper
+    half plane.
     """
     grid = f.grid
     out_samples = np.zeros(grid.shape, complex)
     out_terms = {}
-    for idx, tau, xi in grid.columns():
-        pref, rhos = factor_fn(tau, xi)
-        col = f.samples[idx] / pref
-        terms = [(c / pref, rho, m) for c, rho, m in f.exp_terms.get(idx, ())]
+    for idx, rhos in _over_columns(grid, roots_fn):
+        col = f.samples[idx]
+        terms = f.exp_terms.get(idx, ())
         use_samples = np.any(col)
         for rho in rhos:
             if use_samples:
@@ -622,10 +620,9 @@ def boundary_norm(g: np.ndarray, mu: OFLike, grid: HalfGrid) -> float:
     g = np.asarray(g, dtype=complex)
     if g.shape != grid.col_shape:
         raise ValueError("boundary data must live on the column grid")
-    total = 0.0
-    for idx, tau, xi in grid.columns():
-        w = float(smooth_weight_eval(mu, tau, xi))
-        total += abs(g[idx]) ** 2 * w * w
+    index, tau, xi = grid.column_mesh()
+    w = smooth_weight_eval(mu, tau, xi)
+    total = float(np.sum(np.abs(g[index]) ** 2 * w * w))
     return float(np.sqrt(grid.T * grid.Lx ** (grid.n - 1) * total))
 
 
@@ -696,70 +693,59 @@ def trace_extension(grid: HalfGrid, g: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _boundary_matrix(bc, tau, xi):
-    r1, r2 = _plus_roots(tau, xi)
-    M = np.array([[bc[0].evaluate_at_root(tau, xi, r1),
-                   bc[0].evaluate_at_root(tau, xi, r2)],
-                  [bc[1].evaluate_at_root(tau, xi, r1),
-                   bc[1].evaluate_at_root(tau, xi, r2)]], dtype=complex)
-    return M, (r1, r2)
-
-
-def solve_half_scalar(f: HalfField, g, bc=None) -> "HalfSolveResult":
+def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
     """Solve op[D]_+ u = f, B_1 u = g_1, B_2 u = g_2 column by column.
 
     Route: w = op[D-]^{-1}_+ f; particular p from anticausal D+ inversion;
     homogeneous correction c_1 e^{i rho_1^+ x} + c_2 e^{i rho_2^+ x} fixed
-    by the 2x2 boundary system M c = g - B(p).
+    by the 2x2 boundary system M c = g - B(p), M[i, j] = B_i(rho_j^+),
+    evaluated and solved for every live column at once.
     """
     if bc is None:
         bc = neumann_pair_13()
     grid = f.grid
     if g is None:
         g = (np.zeros(grid.col_shape, complex), np.zeros(grid.col_shape, complex))
+    index, tau, xi = grid.column_mesh()
+    rq = roots(tau, xi)
+    plus = (rq.rho1_plus, rq.rho2_plus)
+    M = np.moveaxis(np.array([[op.evaluate_at_root(tau, xi, rho) for rho in plus]
+                              for op in bc], dtype=complex), -1, 0)
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    scale = np.maximum(np.abs(M).max(axis=(1, 2)), 1e-300)
+    singular = np.abs(det) < 1e-14 * scale ** 2
+    if singular.any():
+        first = np.argmax(singular)
+        raise ZeroDivisionError(
+            f"Lopatinskii violation: singular boundary system at column "
+            f"k={index[0][first] - grid.K}, |xi'|={xi[first]:.6g}")
     w = dminus_inverse_plus(f)
-    p = dotted_inverse(w, lambda tau, xi: (1, _plus_roots(tau, xi)))
-    p_traces = traces(p, 4)
-    out = p.copy()
-    conds = []
+    p = dotted_inverse(w, lambda tau, xi: plus)
+    tr = traces(p, 4)[(slice(None),) + index]
+    rhs = np.stack([gi[index] - op.apply_to_traces(tau, xi, tr)
+                    for gi, op in zip(g, bc)], axis=-1)
+    c = np.linalg.solve(M, rhs[..., None])[..., 0]
+    # norm of the map (boundary data in its trace space) -> (correction
+    # in H^{mu_D}): the numerical shadow of the complementing condition
     factors = weight_factors(MU_D)
-    for idx, tau, xi in grid.columns():
-        M, (r1, r2) = _boundary_matrix(bc, tau, xi)
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        scale = max(np.abs(M).max(), 1e-300)
-        if abs(det) < 1e-14 * scale ** 2:
-            raise ZeroDivisionError(
-                f"Lopatinskii violation: singular boundary system at column "
-                f"k={idx[0] - grid.K}, |xi'|={xi:.6g}")
-        tr = p_traces[(slice(None),) + idx]
-        rhs = np.array([g[0][idx] - bc[0].apply_to_traces(tau, xi, tr),
-                        g[1][idx] - bc[1].apply_to_traces(tau, xi, tr)])
-        c = np.linalg.solve(M, rhs)
-        # norm of the map (boundary data in its trace space) -> (correction
-        # in H^{mu_D}): the numerical shadow of the complementing condition
-        n_col = np.sqrt([column_weighted_l2_sq(((1.0, r, 0),), tau, xi,
-                                               factors, grid.Ln)
-                         for r in (r1, r2)])
-        w_chi = np.array([float(smooth_weight_eval(bc[0].chi, tau, xi)),
-                          float(smooth_weight_eval(bc[1].chi, tau, xi))])
-        scaled = float(np.linalg.norm(
-            n_col[:, None] * np.linalg.inv(M) / w_chi[None, :], 2))
-        conds.append((idx, float(np.linalg.cond(M)), scaled))
-        extra = [(c[0], r1, 0), (c[1], r2, 0)]
+    out = p.copy()
+    n_col = []
+    for idx, (t, x, r1, r2, c1, c2) in _over_columns(
+            grid, lambda tau, xi: (tau, xi, *plus, c[:, 0], c[:, 1])):
+        n_col.append([column_weighted_l2_sq(((1.0, r, 0),), t, x, factors, grid.Ln)
+                      for r in (r1, r2)])
         prev = out.exp_terms.get(idx, ())
-        out.exp_terms[idx] = merge_terms(tuple(prev) + tuple(extra))
-    diagnostics = {
+        out.exp_terms[idx] = merge_terms(tuple(prev) + ((c1, r1, 0), (c2, r2, 0)))
+    w_chi = np.stack([smooth_weight_eval(op.chi, tau, xi) for op in bc], axis=-1)
+    scaled = np.linalg.norm(np.sqrt(n_col)[:, :, None] * np.linalg.inv(M)
+                            / w_chi[:, None, :], 2, axis=(-2, -1))
+    conds = [(idx, cnd, sc) for (idx, _, _), cnd, sc in zip(
+        grid.columns(), np.linalg.cond(M).tolist(), scaled.tolist())]
+    return SolveResult(u=out, diagnostics={
         "max_cond": max((c for _, c, _ in conds), default=0.0),
         "max_scaled_cond": max((s for _, _, s in conds), default=0.0),
         "conds": conds,
-    }
-    return HalfSolveResult(u=out, diagnostics=diagnostics)
-
-
-@dataclass
-class HalfSolveResult:
-    u: "HalfField | tuple"
-    diagnostics: dict = field(default_factory=dict)
+    })
 
 
 # order functions for the system solution/data spaces
@@ -781,7 +767,7 @@ def _lift_from_neumann_data(grid: HalfGrid, g: np.ndarray) -> HalfField:
 
 
 def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
-                          g2: np.ndarray) -> HalfSolveResult:
+                          g2: np.ndarray) -> SolveResult:
     """The adjugate construction for the CHG half-space system.
 
     Lift the Neumann boundary data off via explicit decaying profiles,
@@ -815,7 +801,7 @@ def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
         + diag["norm_g1_G1"] + diag["norm_g2_G2"]
     if data > 0:
         diag["ratio"] = (diag["norm_u1_E1"] + diag["norm_u2_E2"]) / data
-    return HalfSolveResult(u=tuple(u), diagnostics=diag)
+    return SolveResult(u=tuple(u), diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -829,9 +815,9 @@ T2_MU_D = trace_order_function(MU_D, 2)           # (3/2) o_{1/2}
 def borderline_datum(grid: HalfGrid) -> np.ndarray:
     """|g_k| = 1 / w_{T0(mu_-)}(tau_k, 0): exactly the critical decay rate."""
     g = np.zeros(grid.col_shape, complex)
-    for idx, tau, xi in grid.columns():
-        if xi == 0.0:
-            g[idx] = 1.0 / float(smooth_weight_eval(T0_MU_MINUS, tau, 0.0))
+    index, tau, xi = grid.column_mesh()
+    on_axis = tuple(i[xi == 0.0] for i in index)
+    g[on_axis] = 1.0 / smooth_weight_eval(T0_MU_MINUS, tau[xi == 0.0], 0.0)
     return g
 
 

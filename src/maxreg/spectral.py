@@ -21,6 +21,13 @@ from .polygons import OFLike, as_diff, smooth_weight_eval
 from .symbols import MatrixSymbol, SymbolFn, as_symbol
 
 
+def require_integers(grid, *names) -> None:
+    """ValueError naming the first of the grid's sizes that is not an integer."""
+    for name in names:
+        if not isinstance(value := getattr(grid, name), (int, np.integer)):
+            raise ValueError(f"grid size {name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Period-T time circle x n-dimensional periodic box, N samples per side."""
@@ -32,6 +39,7 @@ class TorusGrid:
     Lx: float = 2.0 * np.pi * 16.0
 
     def __post_init__(self):
+        require_integers(self, "K", "N")
         if self.K < 1:
             raise ValueError("K >= 1")
         if self.N < 2 or self.N & (self.N - 1):

@@ -241,8 +241,7 @@ def test_acceptance_7_trace_theory():
     def factors(tau, xi):
         rq = roots(tau, xi)
         a = np.sqrt(np.sqrt(1 + tau * tau)) + np.sqrt(1 + xi * xi)
-        return 1.0, [complex(rq.rho1_plus), complex(rq.rho2_plus),
-                     1j * a, 1j * a]
+        return [rq.rho1_plus, rq.rho2_plus, 1j * a, 1j * a]
 
     w = dotted_inverse(random_exp_field(grid, seed=70), factors)
     tr4 = traces(w, 4)

@@ -12,6 +12,7 @@ from maxreg.boundary import (
     build_extended_matrix,
     builtin_boundary_conditions,
     complementing_check,
+    d1_plus_symbol,
     dirichlet_pair,
     lopatinskii_check,
     neumann_pair_13,
@@ -26,7 +27,7 @@ from maxreg.polygons import (
     of_neg,
     trace_order_function,
 )
-from maxreg.symbols import GridSpec, MatrixSymbol, det, mixed_order_certify
+from maxreg.symbols import GridSpec, MatrixSymbol, PolySymbol, det, mixed_order_certify
 
 O_HALF = o_elem(F(1, 2))
 
@@ -171,6 +172,24 @@ def test_complementing_implies_lopatinskii():
         out = complementing_check(bc)
         if out["passed"]:
             assert out["lopatinskii"]["pass"]
+
+
+def test_apply_to_traces_on_arrays_matches_each_column():
+    """B u = sum_j b_j(tau, |xi'|) Tr_j u on column arrays, column by column."""
+    op = BoundaryOperator((PolySymbol(1, True, ((1j, 1, 0), (1.0, 0, 2))), 0.5,
+                           d1_plus_symbol(), 1j))
+    tau, xip = _sample_points()
+    rng = np.random.default_rng(3)
+    tr = rng.normal(size=(4, tau.size)) + 1j * rng.normal(size=(4, tau.size))
+    per_column = [sum(complex(c(t, x)) * tr[j, i] for j, c in enumerate(op.coeffs))
+                  for i, (t, x) in enumerate(zip(tau, xip))]
+    np.testing.assert_allclose(op.apply_to_traces(tau, xip, tr), per_column,
+                               rtol=1e-13)
+
+
+def test_non_radial_coefficient_is_rejected():
+    with pytest.raises(ValueError, match="radial entries"):
+        BoundaryOperator((PolySymbol(2, False, ((1.0, 0, (1, 0)),)), 0, 0, 0))
 
 
 @pytest.mark.parametrize("certify", [

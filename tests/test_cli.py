@@ -130,10 +130,13 @@ def test_overflowing_boundary_file_is_one_error_line(capsys, tmp_path):
 def test_non_radial_boundary_file_is_one_error_line(capsys, tmp_path, n):
     path = _boundary_file(tmp_path, {"n": n, "radial": False, "monomials": [
         {"re": 1.0, "im": 0.0, "i": 0, "alpha": [0] * n}]})
-    code, out, err = run(capsys, "check", "boundary", path)
-    assert code == 1 and out == ""
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert "radial entries" in err
+    grid = "K=2,Nn=64" if n == 1 else "K=2,n=2,N=4,Nn=64"
+    for argv in (("check", "boundary", path),
+                 ("solve", "half", "--grid", grid, "--bc", path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "radial entries" in err
 
 
 def test_check_unknown_target(capsys):
@@ -194,6 +197,10 @@ def test_solve_half_manufactured(capsys):
     ("solve", "half", "--grid", "K=2,Nn=64,T=1e-300"),
     ("solve", "half", "--grid", "K=2,n=2,N=0,Nn=64"),
     ("solve", "half", "--grid", "K=2,n=2,N=-2,Nn=64"),
+    ("solve", "half", "--grid", "K=1.5,Nn=64"),
+    ("solve", "half", "--grid", "K=2,Nn=64.5"),
+    ("solve", "whole", "--grid", "K=1.5,N=16"),
+    ("solve", "whole", "--grid", "K=2,N=16.5"),
 ])
 def test_degenerate_grid_is_one_error_line(capsys, tmp_path, argv):
     out_path = tmp_path / "report.json"

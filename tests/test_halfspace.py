@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from maxreg import halfspace
 from maxreg.boundary import BoundaryOperator, dirichlet_pair, neumann_pair_13
 from maxreg.factorization import (
     MU_D,
@@ -76,6 +77,33 @@ def test_grid_validation():
                 {"Ln": 0.0}, {"Ln": -1.0}):
         with pytest.raises(ValueError):
             HalfGrid(K=2, Nn=64, **bad)
+
+
+@pytest.mark.parametrize("name", ["K", "N", "Nn"])
+def test_grid_sizes_must_be_integers(name):
+    sizes = {"K": 2, "N": 4, "Nn": 64}
+    with pytest.raises(ValueError, match=f"grid size {name} must be an integer"):
+        HalfGrid(n=2, **{**sizes, name: sizes[name] + 0.5})
+    assert HalfGrid(n=2, **{**sizes, name: np.int64(sizes[name])}) \
+        == HalfGrid(n=2, **sizes)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_column_mesh_matches_enumeration(n):
+    """Row-major live columns, k = 0 left out, tau = 2 pi k / T and
+    |xi'| = |2 pi fftfreq(N, Lx / N)|."""
+    grid = HalfGrid(T=3.0, K=3, n=n, N=6, Lx=5.0, Nn=64)
+    xi_axis = (np.abs(2.0 * np.pi * np.fft.fftfreq(6, d=5.0 / 6)) if n == 2
+               else [0.0])
+    expected = [((ik,) if n == 1 else (ik, j), 2.0 * np.pi * k / 3.0, x)
+                for ik, k in enumerate(range(-3, 4)) if k != 0
+                for j, x in enumerate(xi_axis)]
+    index, tau, xi = grid.column_mesh()
+    assert [tuple(int(i[c]) for i in index) for c in range(tau.size)] \
+        == [e[0] for e in expected]
+    np.testing.assert_allclose(tau, [e[1] for e in expected], rtol=1e-15)
+    assert np.array_equal(xi, [e[2] for e in expected])
+    assert list(grid.columns()) == list(zip([e[0] for e in expected], tau, xi))
 
 
 def test_half_field_sub():
@@ -249,7 +277,7 @@ def test_quartic_splits_through_factors():
     # D+ applied to u must reproduce w: D- (D+ u) = f and both sides bounded
     def dplus_coeff(tau, xi):
         rq = roots(tau, xi)
-        r1, r2 = complex(rq.rho1_plus), complex(rq.rho2_plus)
+        r1, r2 = rq.rho1_plus, rq.rho2_plus
         return (r1 * r2, 1j * (r1 + r2), -1.0)
     dplus_u = apply_poly_operator(u, dplus_coeff)
     assert np.abs(dplus_u.values() - w.values()).max() \
@@ -320,6 +348,18 @@ def test_halfspace_norm_sampled_matches_exact():
     assert abs(sampled - exact) < 1e-3 * exact
 
 
+def test_boundary_norm_evaluates_weights_once(monkeypatch):
+    grid = HalfGrid(K=8, n=2, N=4, Nn=64)
+    g = _random_traces(grid, 1)[0]
+    calls = []
+
+    def counted(mu, tau, xi):
+        calls.append(mu)
+        return smooth_weight_eval(mu, tau, xi)
+    monkeypatch.setattr(halfspace, "smooth_weight_eval", counted)
+    assert boundary_norm(g, T2_MU_D, grid) > 0 and len(calls) == 1
+
+
 def test_boundary_norm_closed_form():
     grid = GRID
     g = np.zeros(grid.col_shape, complex)
@@ -374,7 +414,7 @@ def test_dotted_inverse_trace_annihilation():
     def factors(tau, xi):
         rq = roots(tau, xi)
         a = np.sqrt(np.sqrt(1 + tau * tau)) + np.sqrt(1 + xi * xi)
-        return 1.0, [complex(rq.rho1_plus), complex(rq.rho2_plus), 1j * a, 1j * a]
+        return [rq.rho1_plus, rq.rho2_plus, 1j * a, 1j * a]
 
     w = dotted_inverse(f, factors)
     tr = traces(w, 4)
@@ -389,7 +429,7 @@ def test_dotted_inverse_trace_annihilation_sampled():
     def factors(tau, xi):
         rq = roots(tau, xi)
         a = np.sqrt(np.sqrt(1 + tau * tau)) + np.sqrt(1 + xi * xi)
-        return 1.0, [complex(rq.rho1_plus), complex(rq.rho2_plus), 1j * a, 1j * a]
+        return [rq.rho1_plus, rq.rho2_plus, 1j * a, 1j * a]
 
     w = dotted_inverse(f, factors)
     tr = traces(w, 2)
@@ -432,10 +472,29 @@ def test_solve_scalar_interior_residual():
         < 1e-9 * np.abs(f.values()).max()
 
 
+def _roots_calls_in_solve(monkeypatch, K):
+    f = random_exp_field(HalfGrid(K=K, Nn=64), seed=3)
+    calls = []
+
+    def counted(tau, xi):
+        calls.append(tau)
+        return roots(tau, xi)
+    monkeypatch.setattr(halfspace, "roots", counted)
+    solve_half_scalar(f, None, neumann_pair_13())
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_solve_scalar_roots_calls_do_not_grow_with_K(monkeypatch):
+    assert _roots_calls_in_solve(monkeypatch, 4) \
+        == _roots_calls_in_solve(monkeypatch, 16)
+
+
 def test_solve_scalar_ls_violation_raises():
     op = BoundaryOperator((1.0, 0.5, 0.0, 0.0))
     f = random_exp_field(GRID, seed=16)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ZeroDivisionError, match=r"Lopatinskii violation: "
+                       r"singular boundary system at column k=-4, \|xi'\|=0$"):
         solve_half_scalar(f, None, (op, BoundaryOperator((2.0, 1.0, 0.0, 0.0))))
 
 

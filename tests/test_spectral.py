@@ -49,6 +49,14 @@ def test_grid_validation():
         TorusGrid(n=3)
 
 
+@pytest.mark.parametrize("name", ["K", "N"])
+def test_grid_sizes_must_be_integers(name):
+    sizes = {"K": 2, "N": 16}
+    with pytest.raises(ValueError, match=f"grid size {name} must be an integer"):
+        TorusGrid(**{**sizes, name: sizes[name] + 0.5})
+    assert TorusGrid(**{**sizes, name: np.int64(sizes[name])}) == TorusGrid(**sizes)
+
+
 def test_project_constant_in_time_to_zero():
     data = np.zeros(GRID.shape, complex)
     data[GRID.K] = 1.0  # constant in time
