@@ -28,6 +28,7 @@ except Exception:  # pragma: no cover - not installed
     VERSION = "0.0.0"
 
 from .boundary import (
+    _default_chi,
     bc_from_jsonable,
     builtin_boundary_conditions,
     complementing_check,
@@ -55,6 +56,7 @@ from .halfspace import (
     write_half_field,
 )
 from .polygons import (
+    ZERO_OF,
     chg_shape,
     elementary_decomposition,
     is_regular_in_time,
@@ -482,8 +484,8 @@ def _solve_half(cfg):
             "recovery_error": err,
             "norm_u_mu_D": halfspace_norm(res.u, MU_D),
             "norm_f_l2": halfspace_norm(f, 0),
-            "boundary_norms": [boundary_norm(g[i], bc[i].chi, grid)
-                               for i in range(2)],
+            "boundary_norms": [boundary_norm(gi, _default_chi(op, ZERO_OF), grid)
+                               for gi, op in zip(g, bc)],
             "max_cond": res.diagnostics["max_cond"],
             "max_scaled_cond": res.diagnostics["max_scaled_cond"]}
     summary = [f"half-space manufactured solve, bc = {bc_name}",

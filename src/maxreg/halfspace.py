@@ -7,23 +7,24 @@ D- preserving lower support is a composition of causal first-order
 resolvents (integrating down from x_n = infinity), while particular
 solutions for D+ come from anticausal resolvents (integrating up from the
 boundary).  Columns carry a dual representation: plain samples on [0, Ln],
-plus an exact exponential-sum part c * x^m * e^{i rho x_n} on which
-resolvents, derivatives, traces, and L^2 norms are evaluated in closed
-form.
+plus an exact exponential-sum part sum_{s,p} coef[c, s, p] x^p e^{i rho[c, s] x_n}
+held as arrays over the live columns c.  Every operator runs once over all
+live columns: in closed form on the exact part (resolvents, derivatives,
+traces, L^2 norms), by quadrature and finite differences on the samples.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .boundary import dirichlet_pair, neumann_pair_13
+from .boundary import _default_chi, dirichlet_pair, neumann_pair_13
 from .factorization import (
     MU_D,
     MU_MINUS,
@@ -47,21 +48,12 @@ from .polygons import (
 from .spectral import SolveResult, require_integers
 from .symbols import normal_coeffs
 
-# exponential-sum terms: (coefficient, exponent rho with Im rho >= 0, power m)
-Term = tuple[complex, complex, int]
-
 _DEGENERATE = 1e-6  # |i(sigma - rho)| * Ln below this -> series branch
 
 
 # ---------------------------------------------------------------------------
 # Grid and field containers
 # ---------------------------------------------------------------------------
-
-
-def _slowest_decay(T: float) -> float:
-    """min |Im rho| over the upper roots at the slowest live mode (k=1, xi'=0)."""
-    rq = roots(2.0 * np.pi / T, 0.0)
-    return float(min(rq.rho1_plus.imag, rq.rho2_plus.imag))
 
 
 @dataclass(frozen=True)
@@ -88,8 +80,15 @@ class HalfGrid:
             raise ValueError("positive box and period")
         if self.Ln is not None and not self.Ln > 0:
             raise ValueError("positive normal length Ln")
-        if self.Ln is None:
-            object.__setattr__(self, "Ln", 16.0 / _slowest_decay(self.T))
+        if self.Ln is None:  # sixteen decay lengths of the slowest mode (k=1, xi'=0)
+            rq = roots(self.omega, 0.0)
+            object.__setattr__(self, "Ln", 16.0 / float(min(rq.rho1_plus.imag,
+                                                             rq.rho2_plus.imag)))
+        with np.errstate(all="ignore"):
+            # Tr_0 .. Tr_3, the traces boundary operators act on
+            finite = all(np.isfinite(self.trace_stencil(j)).all() for j in range(4))
+        if not finite:
+            raise ValueError(f"normal length Ln={self.Ln!r} too small: trace stencils not finite")
 
     @property
     def omega(self) -> float:
@@ -127,69 +126,132 @@ class HalfGrid:
         index, tau, xi = self.column_mesh()
         return zip(zip(*(i.tolist() for i in index)), tau, xi)
 
+    def trace_stencil(self, j: int) -> np.ndarray:
+        """Fornberg weights of Tr_j on the first j + 6 samples of a column."""
+        return fd_weights(self.xn()[:j + 6], 0.0, j)[:, j]
+
     def to_jsonable(self):
         return {"T": self.T, "K": self.K, "n": self.n, "N": self.N,
                 "Lx": self.Lx, "Ln": self.Ln, "Nn": self.Nn}
 
 
-@dataclass
 class HalfField:
-    """samples[col, xn] plus optional exact exponential-sum terms per column."""
+    """samples[col, xn] plus an exact exponential-sum part on the live columns.
 
-    grid: HalfGrid
-    samples: np.ndarray
-    exp_terms: dict = field(default_factory=dict)
-    oscillatory: bool = True
+    The exact part of live column c (HalfGrid.column_mesh() order) is
+    sum_{s, p} coef[c, s, p] x^p e^{i rho[c, s] x}: slot s shares one
+    exponent across its powers p, and unused entries carry zero
+    coefficients and a decaying pad exponent.  exp_terms reads and sets
+    the exact part as {column index: ((c, rho, m), ...)}, the terms with
+    c != 0; terms of one column with equal rho share a slot.
+    """
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != self.grid.shape:
-            raise ValueError(f"shape {self.samples.shape} != {self.grid.shape}")
-        for terms in self.exp_terms.values():
-            for _, rho, m in terms:
+    def __init__(self, grid: HalfGrid, samples, exp_terms=None, oscillatory=True):
+        self.grid = grid
+        self.samples = np.asarray(samples, dtype=complex)
+        if self.samples.shape != grid.shape:
+            raise ValueError(f"shape {self.samples.shape} != {grid.shape}")
+        self.oscillatory = oscillatory
+        self.exp_terms = exp_terms or {}
+
+    @property
+    def exp_terms(self) -> dict:
+        index = self.grid.column_mesh()[0]
+        out: dict = {}
+        for c, s, m in zip(*np.nonzero(self.coef)):
+            out.setdefault(tuple(int(i[c]) for i in index), []).append(
+                (complex(self.coef[c, s, m]), complex(self.rho[c, s]), int(m)))
+        return {k: tuple(v) for k, v in out.items()}
+
+    @exp_terms.setter
+    def exp_terms(self, terms_by_column: dict) -> None:
+        index = self.grid.column_mesh()[0]
+        row_of = {idx: r for r, idx in enumerate(zip(*(i.tolist() for i in index)))}
+        slots = [{} for _ in row_of]  # per live column: {rho: slot}
+        entries = []  # (column, slot, power, coefficient)
+        for idx, terms in terms_by_column.items():
+            r = row_of.get(tuple(idx))
+            if r is None:
+                raise ValueError(f"exponential sums live on the k != 0 columns, not {idx}")
+            for c, rho, m in terms:
                 if np.imag(rho) < -1e-12:
                     raise ValueError("exponential-sum exponent grows with x_n")
                 if m < 0:
                     raise ValueError("negative polynomial power")
+                s = slots[r].setdefault(complex(rho), len(slots[r]))
+                entries.append((r, s, int(m), complex(c)))
+        # unused slots: zero coefficients and a decaying exponent
+        self.rho = np.full((len(slots), max(map(len, slots))), 1j)
+        for r, keys in enumerate(slots):
+            self.rho[r, list(keys.values())] = list(keys)
+        self.coef = np.zeros(self.rho.shape + (1 + max((e[2] for e in entries),
+                                                       default=0),), complex)
+        for r, s, m, c in entries:
+            self.coef[r, s, m] += c
 
-    def column(self, idx) -> np.ndarray:
-        """Materialized values of one column on the x_n grid."""
-        vals = self.samples[idx].copy()
-        terms = self.exp_terms.get(idx)
-        if terms:
-            vals += eval_terms(terms, self.grid.xn())
-        return vals
+    def _samples_copy(self) -> np.ndarray:
+        """A copy of the samples, never written when they are all zero."""
+        return self.samples.copy() if self.samples.any() else np.zeros(self.grid.shape, complex)
 
     def values(self) -> np.ndarray:
-        out = self.samples.copy()
-        x = self.grid.xn()
-        for idx, terms in self.exp_terms.items():
-            out[idx] += eval_terms(terms, x)
+        out = self._samples_copy()
+        if self.rho.shape[1]:
+            out[self.grid.column_mesh()[0]] += eval_terms(self.rho, self.coef, self.grid.xn())
         return out
 
     def materialized(self) -> "HalfField":
         return HalfField(self.grid, self.values(), {}, self.oscillatory)
 
     def copy(self) -> "HalfField":
-        return HalfField(self.grid, self.samples.copy(),
-                         {k: tuple(v) for k, v in self.exp_terms.items()},
-                         self.oscillatory)
+        return _field(self.grid, self._samples_copy(), self.rho.copy(),
+                      self.coef.copy(), self.oscillatory)
 
     def __add__(self, other: "HalfField") -> "HalfField":
-        if other.grid != self.grid:
-            raise ValueError("grid mismatch")
-        terms = {k: list(v) for k, v in self.exp_terms.items()}
-        for k, v in other.exp_terms.items():
-            terms.setdefault(k, []).extend(v)
-        return HalfField(self.grid, self.samples + other.samples,
-                         {k: merge_terms(v) for k, v in terms.items()},
-                         self.oscillatory and other.oscillatory)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "HalfField") -> "HalfField":
-        return self + HalfField(other.grid, -other.samples,
-                                {k: tuple((-c, rho, m) for c, rho, m in v)
-                                 for k, v in other.exp_terms.items()},
-                                other.oscillatory)
+        return self._combine(other, np.subtract)
+
+    def _combine(self, other: "HalfField", op) -> "HalfField":
+        """self op other; a slot of other merges into the first slot of self
+        whose exponent equals its own on every live column, else is appended."""
+        if other.grid != self.grid:
+            raise ValueError("grid mismatch")
+        samples = (op(self.samples if self.samples.any() else 0.0, other.samples)
+                   if other.samples.any() else self._samples_copy())
+        P = max(self.coef.shape[2], other.coef.shape[2])
+        coef, theirs = (np.pad(c, ((0, 0), (0, 0), (0, P - c.shape[2])))
+                        for c in (self.coef, op(0.0, other.coef)))
+        same = (self.rho[:, :, None] == other.rho[:, None, :]).all(axis=0)
+        for t in np.flatnonzero(same.any(axis=0)):
+            coef[:, same[:, t].argmax()] += theirs[:, t]
+        new = ~same.any(axis=0)
+        return _field(self.grid, samples,
+                      np.concatenate([self.rho, other.rho[:, new]], axis=1),
+                      np.concatenate([coef, theirs[:, new]], axis=1),
+                      self.oscillatory and other.oscillatory)
+
+
+def _field(grid: HalfGrid, samples: np.ndarray, rho: np.ndarray,
+           coef: np.ndarray, oscillatory: bool = True) -> HalfField:
+    """A field from its samples and its packed exact part."""
+    f = HalfField.__new__(HalfField)
+    vars(f).update(grid=grid, samples=samples, rho=rho, coef=coef, oscillatory=oscillatory)
+    return f
+
+
+def _exp_field(grid: HalfGrid, rho: np.ndarray, coef: np.ndarray) -> HalfField:
+    """A field without samples, holding the slots of (rho, coef) that are not zero."""
+    keep = coef.any(axis=(0, 2))
+    return _field(grid, np.zeros(grid.shape, complex), rho[:, keep], coef[:, keep])
+
+
+def _scatter(grid: HalfGrid, index, cols: Optional[np.ndarray]) -> np.ndarray:
+    """A grid.shape sample array with cols on the live columns; unwritten for None."""
+    out = np.zeros(grid.shape, complex)
+    if cols is not None:
+        out[index] = cols
+    return out
 
 
 def zero_half_field(grid: HalfGrid) -> HalfField:
@@ -197,189 +259,188 @@ def zero_half_field(grid: HalfGrid) -> HalfField:
 
 
 def exp_field(grid: HalfGrid, terms_by_column: dict) -> HalfField:
-    return HalfField(grid, np.zeros(grid.shape, complex),
-                     {k: merge_terms(v) for k, v in terms_by_column.items()})
+    return HalfField(grid, np.zeros(grid.shape, complex), terms_by_column)
 
 
 # ---------------------------------------------------------------------------
-# Exponential-sum arithmetic
+# Exponential-sum arithmetic on (rho[..., s], coef[..., s, p])
 # ---------------------------------------------------------------------------
 
 
-def eval_terms(terms: Sequence[Term], x: np.ndarray) -> np.ndarray:
+def eval_terms(rho: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_{s, p} coef[..., s, p] x^p e^{i rho[..., s] x}; shape
+    rho.shape[:-1] + x.shape."""
     x = np.asarray(x)
-    acc = np.zeros(x.shape, complex)
-    for c, rho, m in terms:
-        acc += c * x ** m * np.exp(1j * rho * x)
+    out = np.zeros(rho.shape[:-1] + x.shape, complex)
+    for s in range(rho.shape[-1]):
+        e = np.exp(1j * rho[..., s, None] * x)
+        for p in range(coef.shape[-1]):
+            out += coef[..., s, p, None] * x ** p * e
+    return out
+
+
+def _derivative(rho: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Coefficients of d/dx of the sum, on the same slots."""
+    out = 1j * rho[..., None] * coef
+    out[..., :-1] += np.arange(1, coef.shape[-1]) * coef[..., 1:]
+    return out
+
+
+def trace_of_terms(rho: np.ndarray, coef: np.ndarray, j: int) -> np.ndarray:
+    """d^j/dx^j at x = 0 of the sum; shape rho.shape[:-1]."""
+    acc = np.zeros(rho.shape[:-1], complex)
+    for m in range(min(j + 1, coef.shape[-1])):
+        acc = acc + (coef[..., m] * math.comb(j, m) * math.factorial(m)
+                     * (1j * rho) ** (j - m)).sum(axis=-1)
     return acc
 
 
-def merge_terms(terms: Sequence[Term], tol: float = 0.0) -> tuple[Term, ...]:
-    seen: dict = {}
-    for c, rho, m in terms:
-        key = (complex(rho), int(m))
-        seen[key] = seen.get(key, 0.0) + complex(c)
-    out = [(c, rho, m) for (rho, m), c in seen.items() if c != 0]
-    if tol > 0:
-        top = max((abs(c) for c, _, _ in out), default=0.0)
-        out = [t for t in out if abs(t[0]) > tol * top]
-    return tuple(out)
+def _int_power_exp(qmax: int, b: np.ndarray, L: float) -> np.ndarray:
+    """integral_0^L x^q e^{b x} dx for q = 0..qmax; shape b.shape + (qmax + 1,).
+
+    A power series where |b| L < 0.5, the integration-by-parts recursion
+    elsewhere; each branch is evaluated on its own entries only."""
+    q = np.arange(qmax + 1)
+    out = np.empty(b.shape + (qmax + 1,), complex)
+    small = np.abs(b) * L < 0.5
+    bs, total, fact = b[small][:, None], 0.0, 1.0
+    for l in range(64):
+        term = bs ** l * L ** (q + l + 1) / (fact * (q + l + 1))
+        total = total + term
+        fact *= l + 1
+        if np.all(np.abs(term) < 1e-18 * (np.abs(total) + 1e-300)):
+            break
+    out[small] = total
+    bb = b[~small]
+    ebl = np.exp(bb * L)
+    out[~small, 0] = (ebl - 1.0) / bb
+    for p in range(1, qmax + 1):
+        out[~small, p] = (L ** p) * ebl / bb - (p / bb) * out[~small, p - 1]
+    return out
 
 
-def differentiate_terms(terms: Sequence[Term]) -> tuple[Term, ...]:
-    out = []
-    for c, rho, m in terms:
-        out.append((1j * rho * c, rho, m))
-        if m > 0:
-            out.append((m * c, rho, m - 1))
-    return merge_terms(out)
+def terms_l2_sq(rho: np.ndarray, coef: np.ndarray, L: float) -> np.ndarray:
+    """integral_0^L |sum|^2 dx in closed form; shape rho.shape[:-1].  The Gram
+    sum runs one slot s at a time, to keep its temporaries (columns x slots)."""
+    P = coef.shape[-1]
+    total = np.zeros(rho.shape[:-1], complex)
+    for s in range(rho.shape[-1]):
+        # ints[..., t, q] = integral_0^L x^q e^{i (rho_s - conj rho_t) x} dx
+        ints = _int_power_exp(2 * P - 2, 1j * (rho[..., s, None] - np.conj(rho)), L)
+        for p in range(P):
+            for q in range(P):
+                total += coef[..., s, p] * np.einsum("...t,...t->...",
+                                                     np.conj(coef[..., q]), ints[..., p + q])
+    return np.maximum(np.real(total), 0.0)
 
 
-def trace_of_terms(terms: Sequence[Term], j: int) -> complex:
-    """d^j/dx^j at x = 0 of the exponential sum."""
-    acc = 0.0 + 0.0j
-    for c, rho, m in terms:
-        if j >= m:
-            acc += c * math.comb(j, m) * math.factorial(m) * (1j * rho) ** (j - m)
-    return acc
+def _resolvent_map(a: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """i sum_m c_m (-1)^(m-k) m! / (k! a^(m-k+1)) at power k, for a = i(sigma - rho):
+    both resolvents' action on the slot sigma."""
+    inv = 1.0 / a
+    out = np.zeros(coef.shape, complex)
+    for m in range(coef.shape[-1]):
+        for k in range(m + 1):
+            w = (-1.0) ** (m - k) * math.factorial(m) / math.factorial(k)
+            out[..., k] += coef[..., m] * (w * inv ** (m - k + 1))
+    return 1j * out
 
 
-def _int_power_exp(p: int, b: complex, L: float) -> complex:
-    """integral_0^L x^p e^{b x} dx, stable for small |b| L."""
-    if abs(b) * L < 0.5:
-        total = 0.0 + 0.0j
-        fact = 1.0
-        for l in range(64):
-            term = b ** l * L ** (p + l + 1) / (fact * (p + l + 1))
-            total += term
-            fact *= l + 1
-            if abs(term) < 1e-18 * (abs(total) + 1e-300):
-                break
-        return total
-    if p == 0:
-        return (np.exp(b * L) - 1.0) / b
-    return (L ** p) * np.exp(b * L) / b - (p / b) * _int_power_exp(p - 1, b, L)
-
-
-def terms_l2_sq(terms: Sequence[Term], L: float) -> float:
-    """integral_0^L |sum|^2 dx in closed form."""
-    total = 0.0 + 0.0j
-    for c1, r1, m1 in terms:
-        for c2, r2, m2 in terms:
-            b = 1j * (r1 - np.conj(r2))
-            total += c1 * np.conj(c2) * _int_power_exp(m1 + m2, b, L)
-    return max(float(np.real(total)), 0.0)
-
-
-def causal_resolvent_terms(rho: complex, terms: Sequence[Term]) -> tuple[Term, ...]:
+def causal_resolvent_terms(rho, slots: np.ndarray, coef: np.ndarray) -> tuple:
     """Bounded solution of (-i d/dx - rho) v = g for Im rho < 0, exact.
 
-    v(x) = -i * integral_x^infty e^{i rho (x-y)} g(y) dy; each input term
-    c x^m e^{i sigma x} maps to a polynomial times e^{i sigma x}.
+    v(x) = -i * integral_x^infty e^{i rho (x-y)} g(y) dy keeps g's slots:
+    each c x^m e^{i sigma x} maps to a polynomial times e^{i sigma x}.  rho
+    holds one root per column (or one for all); returns (slots, coef).
     """
-    if np.imag(rho) >= 0:
+    rho = np.asarray(rho)
+    if np.any(np.imag(rho) >= 0):
         raise ValueError("causal resolvent requires Im rho < 0")
-    out = []
-    for c, sigma, m in terms:
-        a = 1j * (sigma - rho)
-        # Q_m with integral_x^infty y^m e^{a y} dy = e^{a x} Q_m(x)
-        q = {0: -1.0 / a}
-        for mm in range(1, m + 1):
-            nq = {k + 0: v * (-mm / a) for k, v in q.items()}
-            nq[mm] = nq.get(mm, 0.0) - 1.0 / a
-            q = nq
-        for power, coeff in q.items():
-            out.append((-1j * c * coeff, sigma, power))
-    return merge_terms(out)
+    return slots, _resolvent_map(1j * (slots - rho[..., None]), coef)
 
 
-def anticausal_resolvent_terms(rho: complex, terms: Sequence[Term],
-                               Ln: float) -> tuple[Term, ...]:
+def anticausal_resolvent_terms(rho, slots: np.ndarray, coef: np.ndarray,
+                               Ln: float) -> tuple:
     """Solution vanishing at x = 0 of (-i d/dx - rho) v = g for Im rho > 0.
 
-    v(x) = i * integral_0^x e^{i rho (x-y)} g(y) dy.  Near-degenerate
-    exponents (sigma close to rho) switch to a convergent power series to
-    avoid catastrophic cancellation.
+    v(x) = i * integral_0^x e^{i rho (x-y)} g(y) dy: g's slots map as in the
+    causal case, and one slot rho is appended, holding minus their value at
+    x = 0.  Near-degenerate exponents (sigma close to rho, per column)
+    switch to a convergent power series on the rho slot, to avoid
+    catastrophic cancellation.  Returns (slots, coef).
     """
-    if np.imag(rho) <= 0:
+    rho = np.asarray(rho)
+    if np.any(np.imag(rho) <= 0):
         raise ValueError("anticausal resolvent requires Im rho > 0")
-    out = []
-    for c, sigma, m in terms:
-        a = 1j * (sigma - rho)
-        if abs(a) * Ln < _DEGENERATE:
-            # integral_0^x y^m e^{a y} dy as a series in a
-            fact = 1.0
-            for l in range(40):
-                coeff = 1j * c * a ** l / (fact * (m + l + 1))
-                if abs(coeff) * Ln ** (m + l + 1) < 1e-18 * abs(c) * Ln ** (m + 1):
-                    break
-                out.append((coeff, rho, m + l + 1))
-                fact *= l + 1
-            continue
-        # antiderivative: integral y^m e^{ay} dy = e^{ay} sum_l (-1)^l m!/(m-l)! y^{m-l} / a^{l+1}
-        coeffs = {}
-        for l in range(m + 1):
-            coeffs[m - l] = ((-1.0) ** l * math.factorial(m)
-                             / math.factorial(m - l) / a ** (l + 1))
-        g0 = coeffs.get(0, 0.0) if m == 0 else ((-1.0) ** m * math.factorial(m)
-                                                / a ** (m + 1))
-        for power, coeff in coeffs.items():
-            out.append((1j * c * coeff, sigma, power))
-        out.append((-1j * c * g0, rho, 0))
-    return merge_terms(out)
+    a = 1j * (slots - rho[..., None])
+    deg = np.abs(a) * Ln < _DEGENERATE
+    out = _resolvent_map(np.where(deg, 1.0, a), coef)
+    out[deg] = 0.0
+    P, extra = coef.shape[-1], (3 if deg.any() else 0)
+    out = np.pad(out, [(0, 0)] * (out.ndim - 1) + [(0, extra)])
+    new = np.zeros(slots.shape[:-1] + (P + extra,), complex)
+    new[..., 0] = -out[..., 0].sum(axis=-1)
+    # on degenerate slots, integral_0^x y^m e^{a y} dy = sum_l a^l x^(m+l+1)
+    # / (l! (m+l+1)), whose three first terms reach 1e-18 relative
+    ad = np.where(deg, a, 0.0)
+    for m in range(P):
+        cm = np.where(deg, coef[..., m], 0.0)
+        for l in range(extra):
+            new[..., m + l + 1] += (1j * cm * ad ** l
+                                    / (math.factorial(l) * (m + l + 1))).sum(axis=-1)
+    rho_slot = np.broadcast_to(rho, slots.shape[:-1])[..., None]
+    return (np.concatenate([slots, rho_slot], axis=-1),
+            np.concatenate([out, new[..., None, :]], axis=-2))
 
 
 # ---------------------------------------------------------------------------
-# Sampled-column quadratures (exact exponential integration per linear cell)
+# Sampled columns: quadrature recursions (exact exponential integration per
+# linear cell), finite differences (Fornberg weights) and Simpson's rule
 # ---------------------------------------------------------------------------
 
 
-def _phi_integrals(z: complex, h: float) -> tuple[complex, complex]:
+def _phi_integrals(z, h: float) -> tuple:
     """I0 = integral_0^h e^{z s/h} ds, I1 = integral_0^h s e^{z s/h} ds."""
-    if abs(z) < 1e-5:
-        i0 = h * (1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0)
-        i1 = h * h * (0.5 + z / 3.0 + z * z / 8.0 + z ** 3 / 30.0)
-        return i0, i1
+    small = np.abs(z) < 1e-5
+    zs = np.where(small, 1.0, z)  # the closed form only off the series branch
+    ez = np.exp(zs)
+    i0 = np.where(small, h * (1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0),
+                  h * (ez - 1.0) / zs)
+    i1 = np.where(small, h * h * (0.5 + z / 3.0 + z * z / 8.0 + z ** 3 / 30.0),
+                  h * h * (ez * (zs - 1.0) + 1.0) / (zs * zs))
+    return i0, i1
+
+
+def _downward(rho, g, h: float) -> np.ndarray:
+    """v[j] = e^z v[j+1] - i cell_j from v = 0 at Ln, z = -i rho h: cell_j integrates
+    e^{i rho (x_j - y)} times g's linear interpolant over [x_j, x_{j+1}]."""
+    g = np.ascontiguousarray(np.moveaxis(np.asarray(g, dtype=complex), -1, 0))
+    z = -1j * np.asarray(rho) * h
+    i0, i1 = _phi_integrals(z, h)
     ez = np.exp(z)
-    return h * (ez - 1.0) / z, h * h * (ez * (z - 1.0) + 1.0) / (z * z)
+    cell = g[:-1] * i0 + (g[1:] - g[:-1]) * i1 / h
+    v = np.zeros(g.shape, complex)
+    for j in range(len(g) - 2, -1, -1):
+        v[j] = -1j * cell[j] + ez * v[j + 1]
+    return np.moveaxis(v, 0, -1)
 
 
-def causal_resolvent_samples(rho: complex, g: np.ndarray, h: float) -> np.ndarray:
-    """Downward recursion for (-i d/dx - rho) v = g, data zero beyond Ln."""
-    if np.imag(rho) >= 0:
+def causal_resolvent_samples(rho, g: np.ndarray, h: float) -> np.ndarray:
+    """Downward recursion for (-i d/dx - rho) v = g, data zero beyond Ln.
+
+    g holds samples along its last axis; rho one root per column (or one
+    for all)."""
+    if np.any(np.imag(rho) >= 0):
         raise ValueError("causal resolvent requires Im rho < 0")
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    z = -1j * rho * h  # Re z < 0
-    i0, i1 = _phi_integrals(z, h)
-    ez = np.exp(z)
-    v = np.zeros(n, complex)
-    for j in range(n - 2, -1, -1):
-        cell = g[j] * i0 + (g[j + 1] - g[j]) * i1 / h
-        v[j] = -1j * cell + ez * v[j + 1]
-    return v
+    return _downward(rho, g, h)
 
 
-def anticausal_resolvent_samples(rho: complex, g: np.ndarray,
-                                 h: float) -> np.ndarray:
-    """Upward recursion for (-i d/dx - rho) v = g with v(0) = 0."""
-    if np.imag(rho) <= 0:
+def anticausal_resolvent_samples(rho, g: np.ndarray, h: float) -> np.ndarray:
+    """Upward recursion for (-i d/dx - rho) v = g with v(0) = 0: the
+    downward one for -rho on the reflected data, reflected and negated."""
+    if np.any(np.imag(rho) <= 0):
         raise ValueError("anticausal resolvent requires Im rho > 0")
-    g = np.asarray(g, dtype=complex)
-    n = g.shape[0]
-    z = 1j * rho * h  # Re z < 0
-    i0, i1 = _phi_integrals(z, h)
-    ez = np.exp(z)
-    v = np.zeros(n, complex)
-    for j in range(n - 1):
-        cell = g[j + 1] * i0 - (g[j + 1] - g[j]) * i1 / h
-        v[j + 1] = ez * v[j] + 1j * cell
-    return v
-
-
-# ---------------------------------------------------------------------------
-# Finite differences (Fornberg weights) and integration
-# ---------------------------------------------------------------------------
+    return -_downward(-np.asarray(rho), np.flip(g, -1), h)[..., ::-1]
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
@@ -410,9 +471,9 @@ def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def derivative_matrix(nn: int, h: float, order: int, acc: int = 4) -> np.ndarray:
+def derivative_matrix(nn: int, h: float, order: int) -> np.ndarray:
     """Dense differentiation matrix of the given order, 4th-order accurate."""
-    npts = order + acc + (order + acc) % 2 - 1  # odd stencil size
+    npts = order + 4 + (order + 4) % 2 - 1  # odd stencil size
     npts = min(npts, nn)
     half = npts // 2
     D = np.zeros((nn, nn))
@@ -424,33 +485,27 @@ def derivative_matrix(nn: int, h: float, order: int, acc: int = 4) -> np.ndarray
     return D
 
 
-def _simpson(y: np.ndarray, h: float) -> float:
-    n = len(y)
-    if n < 2:
-        return 0.0
-    if n == 2:
-        return float(0.5 * h * (y[0] + y[1]))
-    if n % 2 == 1:
-        w = np.ones(n)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(h / 3.0 * np.dot(w, y))
-    # even sample count: Simpson on the first n-1, trapezoid on the last cell
-    return _simpson(y[:-1], h) + float(0.5 * h * (y[-2] + y[-1]))
+def _rows_times(cols: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """D applied to each row of the complex cols, real and imaginary parts
+    apart: a complex copy of the dense real D would double its memory."""
+    return cols.real @ D.T + 1j * (cols.imag @ D.T)
+
+
+def _simpson(y: np.ndarray, h: float) -> np.ndarray:
+    """Simpson's rule along the last axis (at least three samples); an even
+    sample count takes the trapezoid rule on its last cell."""
+    n = y.shape[-1]
+    if n % 2 == 0:
+        return _simpson(y[..., :-1], h) + 0.5 * h * (y[..., -2] + y[..., -1])
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return h / 3.0 * (y @ w)
 
 
 # ---------------------------------------------------------------------------
-# Column-wise operator application
+# Operators, each applied once over all live columns
 # ---------------------------------------------------------------------------
-
-
-def _over_columns(grid: HalfGrid, fn: Callable):
-    """(index, (v_1, v_2, ...)) per live column, as Python numbers, where
-    fn(tau, |xi'|), called once on the column_mesh arrays, returns the v_j as
-    arrays over the live columns or as scalars."""
-    index, tau, xi = grid.column_mesh()
-    per_column = zip(*(np.broadcast_to(v, tau.shape).tolist() for v in fn(tau, xi)))
-    return zip(zip(*(i.tolist() for i in index)), per_column)
 
 
 def apply_poly_operator(f: HalfField, coeff_fn: Callable) -> HalfField:
@@ -462,27 +517,22 @@ def apply_poly_operator(f: HalfField, coeff_fn: Callable) -> HalfField:
     exactly; sampled parts use the 4th-order finite-difference matrices.
     """
     grid = f.grid
-    out_samples = np.zeros(grid.shape, complex)
-    out_terms = {}
-    for idx, coeffs in _over_columns(grid, coeff_fn):
-        col = f.samples[idx]
-        if np.any(col):
-            acc = coeffs[0] * col
-            for j in range(1, len(coeffs)):
-                if coeffs[j] != 0:
-                    acc = acc + coeffs[j] * (derivative_matrix(grid.Nn, grid.h, j) @ col)
-            out_samples[idx] = acc
-        terms = f.exp_terms.get(idx)
-        if terms:
-            acc_t = [(coeffs[0] * c, rho, m) for c, rho, m in terms]
-            d_t = terms
-            for j in range(1, len(coeffs)):
-                d_t = differentiate_terms(d_t)
-                acc_t.extend((coeffs[j] * c, rho, m) for c, rho, m in d_t)
-            merged = merge_terms(acc_t)
-            if merged:
-                out_terms[idx] = merged
-    return HalfField(grid, out_samples, out_terms)
+    index, tau, xi = grid.column_mesh()
+    coeffs = [np.asarray(c) for c in coeff_fn(tau, xi)]
+    cols = f.samples[index] if f.samples.any() else None
+    if cols is not None:
+        acc = coeffs[0][..., None] * cols
+        for j in range(1, len(coeffs)):
+            if np.any(coeffs[j]):
+                acc = acc + coeffs[j][..., None] * _rows_times(
+                    cols, derivative_matrix(grid.Nn, grid.h, j))
+        cols = acc
+    coef = coeffs[0][..., None, None] * f.coef
+    d = f.coef
+    for j in range(1, len(coeffs)):
+        d = _derivative(f.rho, d)
+        coef = coef + coeffs[j][..., None, None] * d
+    return _field(grid, _scatter(grid, index, cols), f.rho, coef)
 
 
 def apply_symbol(f: HalfField, sym) -> HalfField:
@@ -499,53 +549,35 @@ def apply_dminus(f: HalfField) -> HalfField:
     return apply_poly_operator(f, coeffs)
 
 
-def dminus_inverse_plus(f: HalfField) -> HalfField:
-    """op[D-]^{-1}_+ f: two chained causal resolvents per column."""
+def dotted_inverse(f: HalfField, roots_fn: Callable) -> HalfField:
+    """Chained one-sided resolvents: prod_j (xi_n - rho_j)^{-1}, in order.
+
+    roots_fn(tau, xi), called once on the column_mesh arrays, returns
+    [rho_1, ..., rho_r] (arrays over the live columns, or scalars), each in
+    one half plane: a lower root takes the causal resolvent (preserving
+    lower support), an upper root the anticausal one (the dotted inverse).
+    """
     if not f.oscillatory:
         raise ValueError("half-space inverses act on oscillatory data")
     grid = f.grid
-    out_samples = np.zeros(grid.shape, complex)
-    out_terms = {}
-    # RootQuadruple.all()[2:] is (rho1_minus, rho2_minus)
-    for idx, (r1, r2) in _over_columns(grid, lambda tau, xi: roots(tau, xi).all()[2:]):
-        col = f.samples[idx]
-        if np.any(col):
-            v = causal_resolvent_samples(r2, col, grid.h)
-            out_samples[idx] = causal_resolvent_samples(r1, v, grid.h)
-        terms = f.exp_terms.get(idx)
-        if terms:
-            t = causal_resolvent_terms(r2, terms)
-            t = causal_resolvent_terms(r1, t)
-            if t:
-                out_terms[idx] = t
-    return HalfField(grid, out_samples, out_terms)
+    index, tau, xi = grid.column_mesh()
+    cols = f.samples[index] if f.samples.any() else None
+    slots, coef = f.rho, f.coef
+    for rho in roots_fn(tau, xi):
+        causal = bool(np.all(np.imag(rho) < 0))
+        if cols is not None:
+            cols = (causal_resolvent_samples(rho, cols, grid.h) if causal
+                    else anticausal_resolvent_samples(rho, cols, grid.h))
+        if slots.shape[1]:
+            slots, coef = (causal_resolvent_terms(rho, slots, coef) if causal
+                           else anticausal_resolvent_terms(rho, slots, coef, grid.Ln))
+    return _field(grid, _scatter(grid, index, cols), slots, coef)
 
 
-def dotted_inverse(f: HalfField, roots_fn: Callable) -> HalfField:
-    """Chained anticausal resolvents (the dotted one-sided inverse).
-
-    roots_fn(tau, xi), called once on the column_mesh arrays, returns
-    [rho_1, ..., rho_r] (arrays over the live columns, or scalars) so the
-    inverted symbol is prod (xi_n - rho_j)^{-1}, all rho_j in the upper
-    half plane.
-    """
-    grid = f.grid
-    out_samples = np.zeros(grid.shape, complex)
-    out_terms = {}
-    for idx, rhos in _over_columns(grid, roots_fn):
-        col = f.samples[idx]
-        terms = f.exp_terms.get(idx, ())
-        use_samples = np.any(col)
-        for rho in rhos:
-            if use_samples:
-                col = anticausal_resolvent_samples(rho, col, grid.h)
-            if terms:
-                terms = anticausal_resolvent_terms(rho, terms, grid.Ln)
-        if use_samples:
-            out_samples[idx] = col
-        if terms:
-            out_terms[idx] = merge_terms(terms)
-    return HalfField(grid, out_samples, out_terms)
+def dminus_inverse_plus(f: HalfField) -> HalfField:
+    """op[D-]^{-1}_+ f: the causal resolvents of rho_2^- and then rho_1^-."""
+    # RootQuadruple.all() is (rho1_plus, rho2_plus, rho1_minus, rho2_minus)
+    return dotted_inverse(f, lambda tau, xi: roots(tau, xi).all()[:1:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -568,26 +600,24 @@ def weight_factors(mu: OFLike) -> list[tuple[float, int]]:
     return [(float(y) / 2.0, int(e)) for y, e in elementary_decomposition(mu)]
 
 
-def _weighted(col, terms, tau, xi, factors, d1):
-    """Apply the weight factors to one column: the samples col (unless None)
-    through the first-derivative matrix d1, the terms exactly."""
+def _weighted(cols, rho, coef, tau, xi, factors, d1):
+    """Apply the weight factors to the columns at (tau, xi): the samples
+    cols (unless None) through the first-derivative matrix d1, the exact
+    part (rho, coef) exactly; returns (cols, coef)."""
     for half_y, e in factors:
         a = (1.0 + tau * tau) ** half_y + np.sqrt(1.0 + xi * xi)
         for _ in range(e):
-            if col is not None:
-                col = a * col - d1 @ col
-            if terms:
-                terms = merge_terms(
-                    [(a * c, rho, m) for c, rho, m in terms]
-                    + [(-c, rho, m) for c, rho, m in differentiate_terms(terms)])
-    return col, terms
+            if cols is not None:
+                cols = a[:, None] * cols - _rows_times(cols, d1)
+            coef = a[:, None, None] * coef - _derivative(rho, coef)
+    return cols, coef
 
 
-def column_weighted_l2_sq(terms: Sequence[Term], tau: float, xi: float,
-                          factors, Ln: float) -> float:
-    """Exact squared column norm of an exp sum after the weight factors
-    (from weight_factors)."""
-    return terms_l2_sq(_weighted(None, tuple(terms), tau, xi, factors, None)[1], Ln)
+def column_weighted_l2_sq(rho: np.ndarray, coef: np.ndarray, tau, xi,
+                          factors, Ln: float) -> np.ndarray:
+    """Exact squared column norms of an exp sum after the weight factors
+    (from weight_factors), one per column at (tau, xi)."""
+    return terms_l2_sq(rho, _weighted(None, rho, coef, tau, xi, factors, None)[1], Ln)
 
 
 def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
@@ -599,19 +629,18 @@ def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
     """
     grid = u.grid
     factors = weight_factors(mu)
-    total = 0.0
-    for idx, tau, xi in grid.columns():
-        col = u.samples[idx]
-        terms = u.exp_terms.get(idx, ())
-        if not np.any(col):
-            total += column_weighted_l2_sq(terms, tau, xi, factors, grid.Ln)
-            continue
+    index, tau, xi = grid.column_mesh()
+    sq = column_weighted_l2_sq(u.rho, u.coef, tau, xi, factors, grid.Ln)
+    cols = u.samples[index] if u.samples.any() else None
+    if cols is not None:
+        held = cols.any(axis=1)
         d1 = derivative_matrix(grid.Nn, grid.h, 1) if factors else None
-        col, terms = _weighted(col, terms, tau, xi, factors, d1)
-        vals = col + (eval_terms(terms, grid.xn()) if terms else 0.0)
-        total += _simpson(np.abs(np.asarray(vals)) ** 2, grid.h)
+        cols, coef = _weighted(cols[held], u.rho[held], u.coef[held], tau[held],
+                               xi[held], factors, d1)
+        vals = cols + eval_terms(u.rho[held], coef, grid.xn())
+        sq[held] = _simpson(np.abs(vals) ** 2, grid.h)
     meas = grid.T * grid.Lx ** (grid.n - 1)
-    return float(np.sqrt(meas * total))
+    return float(np.sqrt(meas * sq.sum()))
 
 
 def boundary_norm(g: np.ndarray, mu: OFLike, grid: HalfGrid) -> float:
@@ -634,19 +663,14 @@ def boundary_norm(g: np.ndarray, mu: OFLike, grid: HalfGrid) -> float:
 def traces(u: HalfField, count: int) -> np.ndarray:
     """Discrete Tr_j, j = 0..count-1; shape (count,) + col_shape."""
     grid = u.grid
+    index = grid.column_mesh()[0]
+    cols = u.samples[index] if u.samples.any() else None
     out = np.zeros((count,) + grid.col_shape, complex)
-    x = grid.xn()
     for j in range(count):
-        npts = min(j + 6, grid.Nn)
-        w = fd_weights(x[:npts], 0.0, j)[:, j]
-        for idx, tau, xi in grid.columns():
-            val = 0.0 + 0.0j
-            if np.any(u.samples[idx]):
-                val += complex(np.dot(w, u.samples[idx][:npts]))
-            terms = u.exp_terms.get(idx)
-            if terms:
-                val += trace_of_terms(terms, j)
-            out[(j,) + idx] = val
+        val = trace_of_terms(u.rho, u.coef, j)
+        if cols is not None:
+            val = cols[:, :j + 6] @ grid.trace_stencil(j) + val
+        out[(j,) + index] = val
     return out
 
 
@@ -656,7 +680,8 @@ def trace_extension(grid: HalfGrid, g: np.ndarray,
 
     g has shape (ord mu,) + col_shape.  Per column, trace j is matched by
     eta_j = sigma_j A_j^{-j} sum_k c_{kj} e^{-k A_j x} with Vandermonde
-    nodes {0, -1, ..., -(r1-1)}.
+    nodes {0, -1, ..., -(r1-1)}; A_j is <xi'> for j < r2, plus
+    (1 + i tau)^(-gamma_perp) from r2 on.
     """
     shape = chg_shape(mu)
     if shape is None:
@@ -668,24 +693,23 @@ def trace_extension(grid: HalfGrid, g: np.ndarray,
     nodes = -np.arange(r1, dtype=float)
     V = np.vander(nodes, r1, increasing=True).T  # V[m, k] = nodes[k]^m
     Vinv = np.linalg.inv(V)
-    terms_by_col = {}
-    for idx, tau, xi in grid.columns():
-        terms = []
-        for j in range(r1):
-            sigma = g[(j,) + idx]
-            if sigma == 0:
-                continue
-            a = np.sqrt(1.0 + xi * xi)
-            if j >= r2 and r2 > 0:
-                a = a + (1.0 + 1j * tau) ** (-float(shape.gamma_perp))
-            cj = Vinv @ np.eye(r1)[j]
-            amp = sigma * a ** (-j)
-            for k in range(r1):
-                if cj[k] != 0:
-                    terms.append((amp * cj[k], 1j * k * a, 0))
-        if terms:
-            terms_by_col[idx] = merge_terms(terms)
-    return exp_field(grid, terms_by_col)
+    index, tau, xi = grid.column_mesh()
+    sigma = g[(slice(None),) + index]
+    a = np.sqrt(1.0 + xi * xi)
+    groups = [(a, range(r1))]
+    if r2 > 0:
+        groups = [(a, range(r2)),
+                  (a + (1.0 + 1j * tau) ** (-float(shape.gamma_perp)), range(r2, r1))]
+    amp = [sigma[j] * base ** (-j) for base, js in groups for j in js]
+    # the node k = 0 gives one constant profile for every j
+    rho = [np.zeros(tau.shape, complex)]
+    coef = [sum(amp[j] * Vinv[0, j] for j in range(r1))]
+    for base, js in groups:
+        for k in range(1, r1):
+            rho.append(1j * k * base)
+            coef.append(sum(amp[j] * Vinv[k, j] for j in js))
+    return _exp_field(grid, np.stack(rho, axis=-1),
+                      np.stack(coef, axis=-1)[..., None])
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +718,7 @@ def trace_extension(grid: HalfGrid, g: np.ndarray,
 
 
 def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
-    """Solve op[D]_+ u = f, B_1 u = g_1, B_2 u = g_2 column by column.
+    """Solve op[D]_+ u = f, B_1 u = g_1, B_2 u = g_2 on every live column.
 
     Route: w = op[D-]^{-1}_+ f; particular p from anticausal D+ inversion;
     homogeneous correction c_1 e^{i rho_1^+ x} + c_2 e^{i rho_2^+ x} fixed
@@ -725,22 +749,20 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
     rhs = np.stack([gi[index] - op.apply_to_traces(tau, xi, tr)
                     for gi, op in zip(g, bc)], axis=-1)
     c = np.linalg.solve(M, rhs[..., None])[..., 0]
+    # the correction merges into the rho_j^+ slots the dotted inverse made
+    out = p + _field(grid, np.zeros(grid.shape, complex),
+                     np.stack(plus, axis=-1), c[..., None])
     # norm of the map (boundary data in its trace space) -> (correction
     # in H^{mu_D}): the numerical shadow of the complementing condition
     factors = weight_factors(MU_D)
-    out = p.copy()
-    n_col = []
-    for idx, (t, x, r1, r2, c1, c2) in _over_columns(
-            grid, lambda tau, xi: (tau, xi, *plus, c[:, 0], c[:, 1])):
-        n_col.append([column_weighted_l2_sq(((1.0, r, 0),), t, x, factors, grid.Ln)
-                      for r in (r1, r2)])
-        prev = out.exp_terms.get(idx, ())
-        out.exp_terms[idx] = merge_terms(tuple(prev) + ((c1, r1, 0), (c2, r2, 0)))
-    w_chi = np.stack([smooth_weight_eval(op.chi, tau, xi) for op in bc], axis=-1)
+    n_col = np.stack([column_weighted_l2_sq(r[:, None], np.ones((tau.size, 1, 1)), tau, xi,
+                                            factors, grid.Ln) for r in plus], axis=-1)
+    w_chi = np.stack([smooth_weight_eval(_default_chi(op, ZERO_OF), tau, xi)
+                      for op in bc], axis=-1)
     scaled = np.linalg.norm(np.sqrt(n_col)[:, :, None] * np.linalg.inv(M)
                             / w_chi[:, None, :], 2, axis=(-2, -1))
-    conds = [(idx, cnd, sc) for (idx, _, _), cnd, sc in zip(
-        grid.columns(), np.linalg.cond(M).tolist(), scaled.tolist())]
+    conds = list(zip(zip(*(i.tolist() for i in index)),
+                     np.linalg.cond(M).tolist(), scaled.tolist()))
     return SolveResult(u=out, diagnostics={
         "max_cond": max((c for _, c, _ in conds), default=0.0),
         "max_scaled_cond": max((s for _, _, s in conds), default=0.0),
@@ -758,12 +780,9 @@ G2_ORDER = trace_order_function(E2_ORDER, 1)   # constant 1/2
 
 def _lift_from_neumann_data(grid: HalfGrid, g: np.ndarray) -> HalfField:
     """psi with Tr_0 psi = 0 and Tr_1 psi = g: psi = g x e^{i rho_0 x}."""
-    terms = {}
-    for idx, tau, xi in grid.columns():
-        if g[idx] != 0:
-            rho0 = 1j * (1.0 + np.sqrt(1.0 + xi * xi))
-            terms[idx] = ((complex(g[idx]), rho0, 1),)
-    return exp_field(grid, terms)
+    index, _, xi = grid.column_mesh()
+    coef = np.stack([np.zeros(xi.size), g[index]], axis=-1)[:, None]
+    return _exp_field(grid, 1j * (1.0 + np.sqrt(1.0 + xi * xi))[:, None], coef)
 
 
 def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
@@ -778,11 +797,10 @@ def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
     L, adj = chg_matrix(grid.n).entries, adj_chg_matrix(grid.n).entries
     psi = (_lift_from_neumann_data(grid, g1), _lift_from_neumann_data(grid, g2))
     neumann = neumann_pair_13()
-    zero_g = (np.zeros(grid.col_shape, complex), np.zeros(grid.col_shape, complex))
     f_tilde = [fi - apply_symbol(psi[0], L[i][0]) - apply_symbol(psi[1], L[i][1])
                for i, fi in enumerate((f1, f2))]
-    v1 = solve_half_scalar(f_tilde[0], zero_g, neumann)
-    v2 = solve_half_scalar(f_tilde[1], zero_g, neumann)
+    v1 = solve_half_scalar(f_tilde[0], None, neumann)
+    v2 = solve_half_scalar(f_tilde[1], None, neumann)
     u = [apply_symbol(v1.u, adj[i][0]) + apply_symbol(v2.u, adj[i][1]) + psi[i]
          for i in range(2)]
     tr = [traces(ui, 2) for ui in u]
@@ -824,21 +842,13 @@ def borderline_datum(grid: HalfGrid) -> np.ndarray:
 def _sup_column_ratio(u: HalfField, f: HalfField) -> float:
     """max over columns of ||u_col||_{mu_D} / ||f_col||_{0}: the discrete
     operator-norm estimate (data concentrated on a single column)."""
-    grid = u.grid
-    factors = weight_factors(MU_D)
-    best = 0.0
-    for idx, tau, xi in grid.columns():
-        fsq = terms_l2_sq(f.exp_terms.get(idx, ()), grid.Ln)
-        if fsq <= 0:
-            continue
-        usq = column_weighted_l2_sq(u.exp_terms.get(idx, ()), tau, xi,
-                                    factors, grid.Ln)
-        best = max(best, np.sqrt(usq / fsq))
-    return float(best)
+    _, tau, xi = u.grid.column_mesh()
+    fsq = terms_l2_sq(f.rho, f.coef, u.grid.Ln)
+    usq = column_weighted_l2_sq(u.rho, u.coef, tau, xi, weight_factors(MU_D), u.grid.Ln)
+    return float(np.sqrt(usq[fsq > 0] / fsq[fsq > 0]).max(initial=0.0))
 
 
-def dirichlet_failure_probe(resolutions: Optional[Sequence[tuple]] = None,
-                            T: float = 2.0 * np.pi) -> list[dict]:
+def dirichlet_failure_probe(resolutions: Optional[Sequence[tuple]] = None) -> list[dict]:
     """Growth table for the borderline Dirichlet datum across resolutions.
 
     The headline diagnostic is the Dirichlet solvability functional
@@ -852,7 +862,7 @@ def dirichlet_failure_probe(resolutions: Optional[Sequence[tuple]] = None,
         resolutions = [(16, 256), (32, 256), (64, 256), (128, 256)]
 
     def row_for(K: int, Nn: int) -> dict:
-        grid = HalfGrid(T=T, K=K, n=1, Nn=Nn)
+        grid = HalfGrid(K=K, n=1, Nn=Nn)
         g = borderline_datum(grid)
         gg = np.zeros((2,) + grid.col_shape, complex)
         gg[0] = g
@@ -861,11 +871,9 @@ def dirichlet_failure_probe(resolutions: Optional[Sequence[tuple]] = None,
         w = dminus_inverse_plus(f)
         tr0 = traces(w, 1)[0]
         trace_norm = boundary_norm(tr0, T2_MU_D, grid)
-        zero_g = (np.zeros(grid.col_shape, complex),
-                  np.zeros(grid.col_shape, complex))
         f_norm = halfspace_norm(f, 0)
-        dir_u = solve_half_scalar(f, zero_g, dirichlet_pair())
-        neu_u = solve_half_scalar(f, zero_g, neumann_pair_13())
+        dir_u = solve_half_scalar(f, None, dirichlet_pair())
+        neu_u = solve_half_scalar(f, None, neumann_pair_13())
         edge_dir = dir_u.diagnostics["conds"][-1][2]
         edge_neu = neu_u.diagnostics["conds"][-1][2]
         return {
@@ -912,21 +920,12 @@ def read_half_field(path) -> HalfField:
 # ---------------------------------------------------------------------------
 
 
-def random_exp_field(grid: HalfGrid, seed: int = 0, terms_per_col: int = 3,
-                     cols: Optional[int] = None) -> HalfField:
-    """Random decaying exponential-sum field over (a subset of) live columns."""
+def random_exp_field(grid: HalfGrid, seed: int = 0) -> HalfField:
+    """Random decaying exponential-sum field: three terms c e^{i rho x} on
+    every live column, with Re rho in [-2, 2] and Im rho in [0.3, 2]."""
     rng = np.random.default_rng(seed)
-    live = [idx for idx, _, _ in grid.columns()]
-    if cols is not None and cols < len(live):
-        chosen = [live[i] for i in rng.choice(len(live), size=cols, replace=False)]
-    else:
-        chosen = live
-    terms_by_col = {}
-    for idx in chosen:
-        terms = []
-        for _ in range(terms_per_col):
-            c = rng.normal() + 1j * rng.normal()
-            rho = rng.uniform(-2.0, 2.0) + 1j * rng.uniform(0.3, 2.0)
-            terms.append((c, rho, 0))
-        terms_by_col[idx] = tuple(terms)
-    return exp_field(grid, terms_by_col)
+    draws = np.array([(rng.normal(), rng.normal(),
+                       rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
+                      for _ in range(3 * grid.column_mesh()[1].size)]).reshape(-1, 3, 4)
+    return _exp_field(grid, draws[..., 2] + 1j * draws[..., 3],
+                      (draws[..., 0] + 1j * draws[..., 1])[..., None])

@@ -340,7 +340,7 @@ def _collocate_column(tau, xi, f_terms, g1, g2, bc, Ln, N=300):
         [Z, Z, Dt, -eye],
         [a0 * eye, Z, a2 * eye, Dt]]).astype(complex)
     rhs = np.zeros(4 * n1, complex)
-    rhs[3 * n1:] = eval_terms(f_terms, t)
+    rhs[3 * n1:] = eval_terms(*f_terms, t)
     for row, (op, g) in zip((0, n1), zip(bc, (g1, g2))):
         A[row, :] = 0
         for j, c in enumerate(op.coeffs):
@@ -378,8 +378,9 @@ def test_acceptance_10_collocation_oracle():
     assert len(cases) == 10
     for k, bc, (j1, j2) in cases:
         idx = (grid.K + k,)
+        r = [i for i, _, _ in grid.columns()].index(idx)
         res = solve_half_scalar(f, (tr[j1], tr[j2]), bc)
-        t, u_c = _collocate_column(k * grid.omega, 0.0, f.exp_terms[idx],
+        t, u_c = _collocate_column(k * grid.omega, 0.0, (f.rho[r], f.coef[r]),
                                    tr[j1][idx], tr[j2][idx], bc, grid.Ln)
-        u_f = eval_terms(res.u.exp_terms[idx], t)
+        u_f = eval_terms(res.u.rho[r], res.u.coef[r], t)
         assert np.abs(u_c - u_f).max() < 1e-7 * np.abs(u_f).max()

@@ -1,5 +1,6 @@
 """Tests for extended boundary matrices and the two solvability checks."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from maxreg.boundary import (
     BoundaryOperator,
+    _default_chi,
     bc_from_jsonable,
     bc_to_jsonable,
     build_extended_matrix,
@@ -20,6 +22,7 @@ from maxreg.boundary import (
 )
 from maxreg.factorization import MU_D, chg_matrix, dplus_coeffs, roots
 from maxreg.polygons import (
+    ZERO_OF,
     as_diff,
     o_elem,
     of_add,
@@ -303,3 +306,11 @@ def test_bc_file_round_trip():
 def test_boundary_operator_evaluate_at_root():
     op = trace_operator(2)
     assert op.evaluate_at_root(2.0, 1.0, 3.0) == pytest.approx((3j) ** 2)
+
+
+def test_builtin_chi_is_the_default_target():
+    """Each builtin operator's attached chi is the target T_j(mu_D) that an
+    operator without one defaults to."""
+    for make in builtin_boundary_conditions().values():
+        for op in make():
+            assert _default_chi(replace(op, chi=None), ZERO_OF) == op.chi

@@ -139,6 +139,20 @@ def test_non_radial_boundary_file_is_one_error_line(capsys, tmp_path, n):
         assert "radial entries" in err
 
 
+def test_solve_half_boundary_file_without_chi(capsys, tmp_path):
+    """An operator with chi null takes the default target T_j(mu_D), so the
+    file solves as the builtin neumann_13 does."""
+    obj = bc_to_jsonable(neumann_pair_13())
+    obj["ops"][0]["chi"] = None
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(obj))
+    reports = [run_json(capsys, "solve", "half", "--grid", "K=4,Nn=64",
+                        "--bc", bc)[1]["data"] for bc in (str(path), "neumann_13")]
+    for data in reports:
+        del data["bc"]
+    assert reports[0] == reports[1]
+
+
 def test_check_unknown_target(capsys):
     code, out, err = run(capsys, "check", "boundary", "robin")
     assert code == 1 and "unknown boundary condition" in err

@@ -61,6 +61,16 @@ def _random_traces(grid, r1, seed=0):
     return g
 
 
+def _term(c, rho):
+    """One column holding the single term c e^{i rho x}, as (slots, coef)."""
+    return np.array([[rho]], complex), np.array([[[c]]], complex)
+
+
+def _row(grid, idx):
+    """Position of the live column idx in column_mesh order."""
+    return [i for i, _, _ in grid.columns()].index(idx)
+
+
 # ---------------------------------------------------------------------------
 # grid and container invariants
 # ---------------------------------------------------------------------------
@@ -77,6 +87,13 @@ def test_grid_validation():
                 {"Ln": 0.0}, {"Ln": -1.0}):
         with pytest.raises(ValueError):
             HalfGrid(K=2, Nn=64, **bad)
+
+
+def test_grid_rejects_ln_too_small_for_trace_stencils():
+    """Below Ln ~ 1e-40 the Fornberg trace stencils over- or underflow."""
+    with pytest.raises(ValueError, match="Ln=1e-300 too small"):
+        HalfGrid(K=2, Nn=64, Ln=1e-300)
+    assert HalfGrid(K=2, Nn=64, Ln=1e-30).Ln == 1e-30
 
 
 @pytest.mark.parametrize("name", ["K", "N", "Nn"])
@@ -114,6 +131,37 @@ def test_half_field_sub():
     assert not any((u - u).exp_terms.values())
 
 
+def test_exp_terms_round_trip_merges_slots():
+    """Equal exponents of one column share a slot and their powers add;
+    a + a keeps a's slots."""
+    idx = (GRID.K + 1,)
+    f = exp_field(GRID, {idx: ((1.0, 0.5j, 0), (4.0, 1j, 0), (2.0, 0.5j, 0),
+                               (3.0, 0.5j, 1))})
+    assert f.rho.shape[1] == 2 and f.coef.shape[2] == 2
+    assert f.exp_terms == {idx: ((3.0, 0.5j, 0), (3.0, 0.5j, 1), (4.0, 1j, 0))}
+    u = random_exp_field(GRID, seed=1)
+    assert np.array_equal((u + u).rho, u.rho)
+    assert np.array_equal((u + u).coef, 2.0 * u.coef)
+
+
+def test_dict_interface_of_the_benchmark():
+    """A positional dict in the constructor, exp_terms read and assigned,
+    and values(): the calls bench/ makes."""
+    grid = HalfGrid(K=2, n=2, N=4, Nn=64)
+    terms = {idx: ((complex(1.0, r), complex(0.1 * r, 0.3), 0),)
+             for r, (idx, _, _) in enumerate(grid.columns())}
+    f = HalfField(grid, np.zeros(grid.shape, complex), terms)
+    assert f.exp_terms == terms
+    want = np.zeros(grid.shape, complex)
+    for idx, ((c, rho, _),) in terms.items():
+        want[idx] = c * np.exp(1j * rho * grid.xn())
+    assert np.abs(f.values() - want).max() < 1e-14
+    g = f.copy()
+    g.samples = f.values() * 2.0
+    g.exp_terms = {}
+    assert g.exp_terms == {} and np.array_equal(g.values(), 2.0 * f.values())
+
+
 def test_grid_auto_truncation_is_sixteen_decay_lengths():
     g = HalfGrid()
     rq = roots(g.omega, 0.0)
@@ -134,35 +182,65 @@ def test_field_rejects_growing_exponent():
 def test_causal_terms_eigenfunction():
     """(xi_n - rho)^{-1} applied to e^{i sigma x} gives e^{i sigma x}/(sigma - rho)."""
     rho, sigma = -0.4 - 0.9j, 0.7 + 0.5j
-    out = causal_resolvent_terms(rho, [(2.0 - 1.0j, sigma, 0)])
-    assert len(out) == 1
-    c, r, m = out[0]
-    assert r == sigma and m == 0
+    slots, coef = causal_resolvent_terms(rho, *_term(2.0 - 1.0j, sigma))
+    assert coef.shape == (1, 1, 1)
+    c, r = coef[0, 0, 0], slots[0, 0]
+    assert r == sigma
     assert c == pytest.approx((2.0 - 1.0j) / (sigma - rho))
 
 
 def test_anticausal_terms_eigenfunction():
     rho, sigma = 0.3 + 1.1j, -0.6 + 0.4j
-    out = anticausal_resolvent_terms(rho, [(1.0, sigma, 0)], GRID.Ln)
+    out = anticausal_resolvent_terms(rho, *_term(1.0, sigma), GRID.Ln)
     x = np.linspace(0.0, 8.0, 33)
     want = (np.exp(1j * sigma * x) - np.exp(1j * rho * x)) / (sigma - rho)
-    assert np.abs(eval_terms(out, x) - want).max() < 1e-13
+    assert np.abs(eval_terms(*out, x)[0] - want).max() < 1e-13
 
 
 def test_anticausal_terms_degenerate_exponent():
     """sigma -> rho limit of (e^{i sigma x} - e^{i rho x})/(sigma - rho)."""
     rho = 0.2 + 0.8j
-    out = anticausal_resolvent_terms(rho, [(1.0, rho + 1e-12, 0)], GRID.Ln)
+    out = anticausal_resolvent_terms(rho, *_term(1.0, rho + 1e-12), GRID.Ln)
     x = np.linspace(0.0, 10.0, 21)
     want = 1j * x * np.exp(1j * rho * x)
-    assert np.abs(eval_terms(out, x) - want).max() < 1e-6
+    assert np.abs(eval_terms(*out, x)[0] - want).max() < 1e-6
+
+
+def test_dotted_inverse_degenerate_on_one_column():
+    """A slot equal to the root on one column takes the series branch there,
+    i x e^{i rho x}, and the closed form on the other columns."""
+    grid = HalfGrid(K=2, Nn=64)
+    rho = 0.3 + 0.9j
+    sigma = {idx: rho if r == 1 else rho + 0.2 * (r + 1)
+             for r, (idx, _, _) in enumerate(grid.columns())}
+    w = dotted_inverse(exp_field(grid, {i: ((1.0, s, 0),) for i, s in sigma.items()}),
+                       lambda tau, xi: [rho])
+    x, vals = grid.xn(), w.values()
+    for idx, s in sigma.items():
+        want = (1j * x * np.exp(1j * rho * x) if s == rho
+                else (np.exp(1j * s * x) - np.exp(1j * rho * x)) / (s - rho))
+        assert np.abs(vals[idx] - want).max() < 1e-13
+
+
+@pytest.mark.parametrize("bl", [0.0, 0.3, 0.45, 0.55, 0.7, 4.0])
+def test_int_power_exp_matches_quadrature(bl):
+    """Both branches, the series (|b| L < 0.5) and integration by parts."""
+    L = 3.0
+    b = bl / L * np.exp(2.2j)
+    x = np.linspace(0.0, L, 20001)
+    w = np.ones(x.size)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    got = halfspace._int_power_exp(4, np.array([b]), L)[0]
+    for q in range(5):
+        want = (x[1] - x[0]) / 3.0 * np.dot(w, x ** q * np.exp(b * x))
+        assert abs(got[q] - want) < 1e-12 * abs(want)
 
 
 def test_resolvents_reject_wrong_half_plane():
     with pytest.raises(ValueError):
-        causal_resolvent_terms(0.5j, [(1.0, 1.0j, 0)])
+        causal_resolvent_terms(0.5j, *_term(1.0, 1.0j))
     with pytest.raises(ValueError):
-        anticausal_resolvent_terms(-0.5j, [(1.0, 1.0j, 0)], GRID.Ln)
+        anticausal_resolvent_terms(-0.5j, *_term(1.0, 1.0j), GRID.Ln)
     with pytest.raises(ValueError):
         causal_resolvent_samples(0.5j, np.zeros(8, complex), 0.1)
     with pytest.raises(ValueError):
@@ -297,9 +375,8 @@ def test_extension_independence():
     u_small = dminus_inverse_plus(exp_field(GRID, terms))
     u_big = dminus_inverse_plus(exp_field(big, terms))
     x = GRID.xn()[: GRID.Nn // 2]
-    for idx, _, _ in GRID.columns():
-        a = eval_terms(u_small.exp_terms[idx], x)
-        b = eval_terms(u_big.exp_terms[idx], x)
+    for a, b in zip(eval_terms(u_small.rho, u_small.coef, x),
+                    eval_terms(u_big.rho, u_big.coef, x)):
         assert np.abs(a - b).max() < 1e-10 * max(np.abs(a).max(), 1.0)
 
 
@@ -326,9 +403,7 @@ def test_halfspace_norm_single_profile_oracle():
 
 def test_halfspace_norm_zero_order_is_l2():
     u = random_exp_field(GRID, seed=7)
-    total = 0.0
-    for idx, _, _ in GRID.columns():
-        total += terms_l2_sq(u.exp_terms[idx], GRID.Ln)
+    total = terms_l2_sq(u.rho, u.coef, GRID.Ln).sum()
     assert halfspace_norm(u, 0) == pytest.approx(np.sqrt(GRID.T * total), rel=1e-10)
 
 
@@ -386,7 +461,7 @@ def test_trace_extension_mu_minus_constant_term():
     g[0, GRID.K + 1] = 1.0
     F = trace_extension(GRID, g, MU_MINUS)
     # extension of (g, 0) is exactly the constant g in x_n
-    col = F.column((GRID.K + 1,))
+    col = F.values()[(GRID.K + 1,)]
     assert np.abs(col - 1.0).max() < 1e-12
 
 
@@ -472,22 +547,32 @@ def test_solve_scalar_interior_residual():
         < 1e-9 * np.abs(f.values()).max()
 
 
-def _roots_calls_in_solve(monkeypatch, K):
+def _calls_in_solve(monkeypatch, name, K):
+    """How often solve_half_scalar calls halfspace.<name> at the given K."""
     f = random_exp_field(HalfGrid(K=K, Nn=64), seed=3)
     calls = []
+    real = getattr(halfspace, name)
 
-    def counted(tau, xi):
-        calls.append(tau)
-        return roots(tau, xi)
-    monkeypatch.setattr(halfspace, "roots", counted)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(halfspace, name, counted)
     solve_half_scalar(f, None, neumann_pair_13())
     monkeypatch.undo()
     return len(calls)
 
 
 def test_solve_scalar_roots_calls_do_not_grow_with_K(monkeypatch):
-    assert _roots_calls_in_solve(monkeypatch, 4) \
-        == _roots_calls_in_solve(monkeypatch, 16)
+    assert _calls_in_solve(monkeypatch, "roots", 4) \
+        == _calls_in_solve(monkeypatch, "roots", 16)
+
+
+@pytest.mark.parametrize("name", ["causal_resolvent_terms",
+                                  "anticausal_resolvent_terms"])
+def test_solve_scalar_resolvent_calls_do_not_grow_with_K(monkeypatch, name):
+    """Each resolvent runs once per root over all columns, not per column."""
+    assert _calls_in_solve(monkeypatch, name, 4) \
+        == _calls_in_solve(monkeypatch, name, 16) == 2
 
 
 def test_solve_scalar_ls_violation_raises():
@@ -520,10 +605,11 @@ def test_collocation_oracle_single_column():
     res = solve_half_scalar(f, (tr[1], tr[3]), neumann_pair_13())
     k = 3
     idx = (grid.K + k,)
-    t, u_c = _collocate_column(k * grid.omega, 0.0, f.exp_terms[idx],
+    r = _row(grid, idx)
+    t, u_c = _collocate_column(k * grid.omega, 0.0, (f.rho[r], f.coef[r]),
                                tr[1][idx], tr[3][idx], neumann_pair_13(),
                                grid.Ln)
-    u_f = eval_terms(res.u.exp_terms[idx], t)
+    u_f = eval_terms(res.u.rho[r], res.u.coef[r], t)
     assert np.abs(u_c - u_f).max() < 1e-7 * np.abs(u_f).max()
 
 
@@ -553,7 +639,7 @@ def _collocate_column(tau, xi, f_terms, g1, g2, bc, Ln, N=300):
         [Z, Z, Dt, -eye],
         [a0 * eye, Z, a2 * eye, Dt]]).astype(complex)
     rhs = np.zeros(4 * n1, complex)
-    rhs[3 * n1:] = eval_terms(f_terms, t)
+    rhs[3 * n1:] = eval_terms(*f_terms, t)
     for row, (op, g) in zip((0, n1), zip(bc, (g1, g2))):
         A[row, :] = 0
         for j, c in enumerate(op.coeffs):
