@@ -172,8 +172,8 @@ def build_extended_matrix(bc: Sequence[BoundaryOperator], m: int = 0,
 
 def lopatinskii_check(B: MatrixSymbol, grid: GridSpec = GridSpec()) -> dict:
     """Pointwise invertibility of the extended matrix over the grid."""
-    T, X, _, abs_det = sample_matrix(B, grid)
-    return invertibility_report(T, X, abs_det)
+    tau, xi, _, abs_det = sample_matrix(B, grid)
+    return invertibility_report(tau, xi, abs_det)
 
 
 def complementing_check(bc: Sequence[BoundaryOperator],

@@ -1,9 +1,11 @@
 """Command-line driver: polygon reports, certifications, solves, probes, export.
 
 Every subcommand builds a complete report in memory (a plain dict with a
-canonical JSON rendering) and only then writes it, so an error never leaves
-partial output behind.  Reports carry a provenance block with the package
-version and a hash of the effective configuration; two runs with the same
+canonical JSON rendering) and only then writes it with any field or CSV
+files: each goes to a temp file beside its target, and the temp files are
+renamed into place once all are written, so an error never leaves partial
+output behind.  Reports carry a provenance block with the package version
+and a hash of the effective configuration; two runs with the same
 configuration and seed produce byte-identical output.
 
 Exit codes: 0 = success / check passed, 2 = a certification failed,
@@ -11,6 +13,7 @@ Exit codes: 0 = success / check passed, 2 = a certification failed,
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import io
@@ -65,9 +68,8 @@ from .polygons import (
     trace_order_function,
 )
 from .spectral import (
-    Field,
     TorusGrid,
-    apply_multiplier,
+    apply_system,
     norm_table,
     project_oscillatory,
     random_band_limited_field,
@@ -244,16 +246,46 @@ def render_report(report, fmt):
     return buf.getvalue()
 
 
-def emit(report, cfg):
+def _write_text(path, text):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _publish(files):
+    """Write each (path, writer) pair with writer(tmp), tmp a temp file
+    beside path, then rename every temp file into place; a failed write
+    leaves none of the files behind."""
+    temps = []
+    try:
+        for path, write in files:
+            head, tail = os.path.split(path)
+            temps.append(os.path.join(head, f".{tail}.{os.getpid()}.tmp"))
+            try:
+                write(temps[-1])
+            except OSError as e:
+                raise CliError(f"cannot write {path}: {e.strerror or e}")
+        for tmp, (path, _) in zip(temps, files):
+            try:
+                os.replace(tmp, path)
+            except OSError as e:
+                raise CliError(f"cannot write {path}: {e.strerror or e}")
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+def emit(report, cfg, files=()):
+    """Write the report (to cfg["out"], or else to stdout) and the files."""
     text = render_report(report, cfg["format"])
     if cfg.get("out"):
         path = cfg["out"]
         if os.path.isdir(path):
             ext = "csv" if cfg["format"] == "csv" else "json"
             path = os.path.join(path, f"report.{ext}")
-        with open(path, "w") as fh:
-            fh.write(text)
+        _publish([(path, lambda tmp: _write_text(tmp, text)), *files])
     else:
+        _publish(files)
         sys.stdout.write(text)
 
 
@@ -303,8 +335,9 @@ def load_boundary_pair(target):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.  Each returns (data, summary, passed); passed None means
-# the command is informational (exit 0 unless an error occurred).
+# Subcommands.  Each returns (data, summary, passed, files); passed None
+# means the command is informational (exit 0 unless an error occurred), and
+# files lists the (path, writer) pairs to write beside the report.
 # ---------------------------------------------------------------------------
 
 
@@ -338,7 +371,7 @@ def cmd_polygon(cfg):
     verts = ", ".join(f"({r}, {s})" for r, s in data["vertices"])
     summary = [f"vertices: {verts}", f"ord = {mu.ord}",
                f"regular in time: {data['regular_in_time']}"]
-    return data, summary, None
+    return data, summary, None, []
 
 
 # shared by the mixed-order and boundary reports; _plain renders the objects
@@ -360,7 +393,7 @@ def cmd_check(cfg):
         data = {"report": rep.to_jsonable(), "mu": _of_jsonable(mu)}
         summary = [f"ellipticity: {'pass' if rep.passed else 'FAIL'} "
                    f"(C = {rep.c_lower:.6g}, floor = {floor:.6g})"]
-        return data, summary, rep.passed
+        return data, summary, rep.passed, []
     if what == "mixed-order":
         if cfg["target"] != "chg-L":
             raise CliError("mixed-order check supports the builtin "
@@ -368,7 +401,7 @@ def cmd_check(cfg):
         out = mixed_order_certify(chg_matrix(), grid=grid)
         data = {k: out[k] for k in ("passed", "entries", *_CERT_KEYS)}
         summary = [f"mixed-order: {'pass' if out['passed'] else 'FAIL'}"]
-        return data, summary, out["passed"]
+        return data, summary, out["passed"], []
     if what == "boundary":
         bc = load_boundary_pair(cfg["target"])
         out = complementing_check(bc, grid=grid)
@@ -382,7 +415,7 @@ def cmd_check(cfg):
             w = out["decay_witness"]
             summary.append(f"witness ray |xi'| = {w['ray_xi']:.6g}, "
                            f"slope = {w['slope']:.4g}")
-        return data, summary, passed
+        return data, summary, passed, []
     raise CliError(f"unknown check {what!r}")
 
 
@@ -412,7 +445,7 @@ def cmd_chg(cfg):
                + ", ".join(f"({r}, {s})" for r, s in data["polygon_vertices"]),
                f"factor residual <= {max_res:.3e}",
                f"C_lambda = {ell.c_lower:.6g} at lambda = {cfg['lambda']}"]
-    return data, summary, None
+    return data, summary, None, []
 
 
 def _solve_whole(cfg):
@@ -422,11 +455,7 @@ def _solve_whole(cfg):
     L = chg_matrix(grid.n)
     u_star = tuple(project_oscillatory(
         random_band_limited_field(grid, seed=seed + i)) for i in range(2))
-    f = []
-    for i in range(2):
-        a = apply_multiplier(u_star[0], L.entries[i][0])
-        b = apply_multiplier(u_star[1], L.entries[i][1])
-        f.append(Field(grid, a.data + b.data, oscillatory=True))
+    f = apply_system(L, u_star)
     res = solve_whole_system(L, f)
     err = max(np.abs(res.u[i].data - u_star[i].data).max()
               / max(np.abs(u_star[i].data).max(), 1e-300) for i in range(2))
@@ -450,7 +479,7 @@ def _solve_half(cfg):
     seed = int(cfg["seed"])
     bc_name = cfg.get("bc") or "neumann_13"
     if cfg.get("probe"):
-        data, summary, _ = cmd_probe(cfg)
+        data, summary, _, _ = cmd_probe(cfg)
         return data, summary, []
     ensemble = int(cfg.get("ensemble") or 0)
     if ensemble:
@@ -502,12 +531,13 @@ def cmd_solve(cfg):
         data, summary, fields = _solve_half(cfg)
     else:
         raise CliError(f"unknown domain {cfg['domain']!r}")
+    files = []
     if cfg.get("out") and fields:
-        base = cfg["out"]
-        for name, fld, writer in fields:
-            writer(f"{base}.{name}.field", fld)
-        data["field_files"] = [f"{base}.{name}.field" for name, _, _ in fields]
-    return data, summary, None
+        files = [(f"{cfg['out']}.{name}.field",
+                  lambda tmp, fld=fld, writer=writer: writer(tmp, fld))
+                 for name, fld, writer in fields]
+        data["field_files"] = [path for path, _ in files]
+    return data, summary, None, files
 
 
 def _parse_resolutions(text):
@@ -541,7 +571,7 @@ def cmd_probe(cfg):
         f"dirichlet/neumann conditioning contrast grows "
         f"x{data['cond_contrast_growth']:.3f}",
     ]
-    return data, summary, None
+    return data, summary, None, []
 
 
 _EXPORT_HEADERS = {
@@ -597,12 +627,11 @@ def cmd_export(cfg):
         for name, header in _EXPORT_HEADERS.items():
             table(name, header, [])
     os.makedirs(out_dir, exist_ok=True)
-    for name, text in sorted(files.items()):
-        with open(os.path.join(out_dir, name), "w") as fh:
-            fh.write(text)
     data_out = {"directory": out_dir, "files": sorted(files)}
     summary = [f"wrote {len(files)} CSV file(s) to {out_dir}"]
-    return data_out, summary, None
+    return data_out, summary, None, [
+        (os.path.join(out_dir, name), lambda tmp, text=text: _write_text(tmp, text))
+        for name, text in sorted(files.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -682,15 +711,11 @@ def main(argv=None):
         cfg = build_settings(args)
         # floating-point faults raise FloatingPointError, an ArithmeticError
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            data, summary, passed = _COMMANDS[args.cmd](cfg)
-    except CliError as e:
+            data, summary, passed, files = _COMMANDS[args.cmd](cfg)
+        emit(build_report(args.cmd, cfg, data, summary), cfg, files)
+    except (CliError, ValueError, ArithmeticError, OSError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (ValueError, ArithmeticError, OSError, KeyError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    report = build_report(args.cmd, cfg, data, summary)
-    emit(report, cfg)
     return 0 if passed is None or passed else 2
 
 

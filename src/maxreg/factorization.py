@@ -25,7 +25,7 @@ from .polygons import (
     order_function_of,
     polygon_from_exponents,
 )
-from .symbols import GridSpec, MatrixSymbol, PolySymbol, SymbolFn, as_diff
+from .symbols import GridSpec, MatrixSymbol, PolySymbol, SymbolFn, as_diff, mesh_axes
 
 F = Fraction
 
@@ -167,13 +167,13 @@ def factor_residual(grid: GridSpec = GridSpec(), xi_n_values=None) -> float:
     if xi_n_values is None:
         xi_n_values = np.concatenate([[0.0], np.logspace(-2, 2, 17)])
         xi_n_values = np.concatenate([-xi_n_values[::-1], xi_n_values])
-    tau = grid.tau_values()
-    xip = grid.xi_norms()
-    T, X, Xn = np.meshgrid(tau, xip, np.asarray(xi_n_values), indexing="ij")
-    rq = roots(T, X)
-    prod = ((Xn - rq.rho1_minus) * (Xn - rq.rho2_minus)
-            * (Xn - rq.rho1_plus) * (Xn - rq.rho2_plus))
-    D = d_eval_split(T, X, Xn)
+    tau, xip = mesh_axes(grid)
+    tau, xip = tau[..., None], xip[..., None]
+    xin = np.asarray(xi_n_values)[None, None, :]
+    rq = roots(tau, xip)
+    prod = ((xin - rq.rho1_minus) * (xin - rq.rho2_minus)
+            * (xin - rq.rho1_plus) * (xin - rq.rho2_plus))
+    D = d_eval_split(tau, xip, xin)
     return float((np.abs(D - prod) / (1.0 + np.abs(D))).max())
 
 
@@ -186,12 +186,10 @@ def root_bounds_check(lam: float = 1.0, grid: GridSpec = GridSpec()):
 
     if lam != grid.lam:
         grid = replace(grid, lam=lam)
-    tau = grid.tau_values()
-    xip = grid.xi_norms()
-    T, X = np.meshgrid(tau, xip, indexing="ij")
-    rq = roots(T, X)
-    w_half = weight_eval(O_HALF, T, X)
-    w_zero = weight_eval(O_ZERO, T, X)
+    tau, xip = mesh_axes(grid)
+    rq = roots(tau, xip)
+    w_half = weight_eval(O_HALF, tau, xip)
+    w_zero = weight_eval(O_ZERO, tau, xip)
     r1 = np.abs(rq.rho1_plus) / w_half
     r2 = np.abs(rq.rho2_plus) / w_zero
     return CertReport(

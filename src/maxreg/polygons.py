@@ -449,10 +449,25 @@ def _smooth_weight_positive(mu: OrderFunction, tau, xi_norm):
     return acc
 
 
+def weight_evaluator(tau, xi_norm):
+    """mu -> weight_eval(mu, tau, xi_norm), evaluating each distinct positive
+    part once over the evaluator's life."""
+    parts: dict = {}
+
+    def part(p: OrderFunction):
+        if p not in parts:
+            parts[p] = _weight_positive(p, tau, xi_norm)
+        return parts[p]
+
+    def weight(mu: OFLike):
+        mu = as_diff(mu)
+        return part(mu.plus) / part(mu.minus)
+    return weight
+
+
 def weight_eval(mu: OFLike, tau, xi_norm):
     """W_mu = W_plus / W_minus with W = 1 + sum over vertices |tau|^s |xi|^r."""
-    mu = as_diff(mu)
-    return _weight_positive(mu.plus, tau, xi_norm) / _weight_positive(mu.minus, tau, xi_norm)
+    return weight_evaluator(tau, xi_norm)(mu)
 
 
 def smooth_weight_eval(mu: OFLike, tau, xi_norm):

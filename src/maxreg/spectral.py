@@ -78,8 +78,9 @@ class TorusGrid:
         return [ax[np.newaxis, :, np.newaxis], ax[np.newaxis, np.newaxis, :]]
 
     def xi_norm_mesh(self) -> np.ndarray:
-        comps = self.xi_components()
-        return np.sqrt(sum(np.broadcast_to(c ** 2, self.shape) for c in comps))
+        """|xi| over the spatial axes, shape (1, N) or (1, N, N): it
+        broadcasts over the time modes like tau_mesh() over space."""
+        return np.sqrt(sum(c ** 2 for c in self.xi_components()))
 
     def tau_mesh(self) -> np.ndarray:
         t = self.tau_values()
@@ -199,20 +200,28 @@ def apply_multiplier(f: Field, m) -> Field:
                                    oscillatory=True)
 
 
-def norm_weighted(f: Field, mu: OFLike = 0) -> float:
-    """|| op[w_mu] f ||_{L^2(G)} by discrete Plancherel with smooth weights."""
-    mu = as_diff(mu)
+def norms_weighted(f: Field, mus: Sequence[OFLike]) -> list[float]:
+    """|| op[w_mu] f ||_{L^2(G)} for each mu, by discrete Plancherel with
+    smooth weights, from one transform of f."""
     grid = f.grid
     tau = grid.tau_mesh()
     tau = np.where(tau == 0, grid.omega if f.oscillatory else 0.0, tau)
-    w = smooth_weight_eval(mu, np.broadcast_to(tau, grid.shape),
-                           grid.xi_norm_mesh())
+    xi = grid.xi_norm_mesh()
     c = f.coefficients()
     if f.oscillatory:
-        c = c.copy()
         c[grid.K] = 0.0
-    total = float(np.sum(np.abs(c) ** 2 * np.asarray(w) ** 2))
-    return float(np.sqrt(grid.T * grid.Lx ** grid.n * total))
+    power = np.abs(c) ** 2
+    out = []
+    for mu in mus:
+        w = smooth_weight_eval(as_diff(mu), tau, xi)
+        total = float(np.sum(power * np.asarray(w) ** 2))
+        out.append(float(np.sqrt(grid.T * grid.Lx ** grid.n * total)))
+    return out
+
+
+def norm_weighted(f: Field, mu: OFLike = 0) -> float:
+    """|| op[w_mu] f ||_{L^2(G)} by discrete Plancherel with smooth weights."""
+    return norms_weighted(f, [mu])[0]
 
 
 def plain_l2_norm(f: Field) -> float:
@@ -260,6 +269,27 @@ def solve_whole_scalar(P, f: Field, mu: Optional[OFLike] = None,
     return SolveResult(u=u, diagnostics=diag)
 
 
+def _matrix_times(L: MatrixSymbol, coeffs: Sequence[np.ndarray], grid: TorusGrid):
+    """The coefficients of op[L] u from those of u, yielded row by row so
+    that one row is held at a time."""
+    for row in L.entries:
+        acc = np.zeros(grid.shape, complex)
+        for e, c in zip(row, coeffs):
+            acc += _symbol_values(e, grid, oscillatory=True) * c
+        yield acc
+
+
+def apply_system(L: MatrixSymbol, u: Sequence[Field]) -> tuple:
+    """op[L] u for a system: one transform of each u_j and each result."""
+    if len(u) != L.m:
+        raise ValueError("one field per column")
+    if not all(uj.oscillatory for uj in u):
+        raise ValueError("multipliers act on purely oscillatory fields")
+    grid = u[0].grid
+    rows = _matrix_times(L, [uj.coefficients() for uj in u], grid)
+    return tuple(Field.from_coefficients(grid, c, oscillatory=True) for c in rows)
+
+
 def solve_whole_system(L: MatrixSymbol, f: Sequence[Field]) -> SolveResult:
     """u = op[ad L] op[1/det L] f, frequency by frequency."""
     if len(f) != L.m:
@@ -268,29 +298,17 @@ def solve_whole_system(L: MatrixSymbol, f: Sequence[Field]) -> SolveResult:
         raise ValueError("whole-space solves act on oscillatory data")
     grid = f[0].grid
     from .symbols import adjugate, det
-    det_vals = _symbol_values(det(L), grid, oscillatory=True)
-    inv = _invert_values(det_vals, grid)
-    adj = adjugate(L)
+    inv = _invert_values(_symbol_values(det(L), grid, oscillatory=True), grid)
     fc = [fi.coefficients() for fi in f]
-    out = []
-    for i in range(L.m):
-        acc = np.zeros(grid.shape, complex)
-        for j in range(L.m):
-            a_ij = _symbol_values(adj.entries[i][j], grid, oscillatory=True)
-            acc += a_ij * inv * fc[j]
-        out.append(Field.from_coefficients(grid, acc, oscillatory=True))
+    out = tuple(Field.from_coefficients(grid, row * inv, oscillatory=True)
+                for row in _matrix_times(adjugate(L), fc, grid))
+    del inv
     # residual of the solved system on the discrete basis
-    res = 0.0
-    scale = 0.0
-    for i in range(L.m):
-        acc = np.zeros(grid.shape, complex)
-        for j in range(L.m):
-            l_ij = _symbol_values(L.entries[i][j], grid, oscillatory=True)
-            acc += l_ij * out[j].coefficients()
-        res += float(np.sum(np.abs(acc - fc[i]) ** 2))
-        scale += float(np.sum(np.abs(fc[i]) ** 2))
+    lu = _matrix_times(L, [u.coefficients() for u in out], grid)
+    res = sum(float(np.sum(np.abs(a - c) ** 2)) for a, c in zip(lu, fc))
+    scale = sum(float(np.sum(np.abs(c) ** 2)) for c in fc)
     diag = {"relative_residual": float(np.sqrt(res / scale)) if scale else 0.0}
-    return SolveResult(u=tuple(out), diagnostics=diag)
+    return SolveResult(u=out, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -319,4 +337,5 @@ def read_field(path) -> Field:
 
 def norm_table(f: Field, orders: Sequence[tuple[str, OFLike]]) -> list[dict]:
     """Rows {name, norm} for CSV export."""
-    return [{"name": name, "norm": norm_weighted(f, mu)} for name, mu in orders]
+    norms = norms_weighted(f, [mu for _, mu in orders])
+    return [{"name": name, "norm": v} for (name, _), v in zip(orders, norms)]

@@ -26,6 +26,7 @@ from .polygons import (
     polygon_from_exponents,
     qpoint,
     weight_eval,
+    weight_evaluator,
 )
 
 Alpha = Union[int, tuple]  # radial power of |xi|, or a multi-index over xi_1..xi_n
@@ -190,15 +191,20 @@ class MatrixSymbol:
         return len(self.entries)
 
     def evaluate(self, tau, xi) -> np.ndarray:
-        """Stack entry values: result shape (..., m, m)."""
-        vals = [[np.asarray(e(tau, xi), dtype=complex) for e in row]
-                for row in self.entries]
-        shape = np.broadcast(*(v for row in vals for v in row)).shape
-        out = np.empty(shape + (self.m, self.m), dtype=complex)
-        for i, row in enumerate(vals):
-            for j, v in enumerate(row):
-                out[..., i, j] = np.broadcast_to(v, shape)
-        return out
+        """Stack entry values: result shape (..., m, m).  An entry object
+        that sits in several places is evaluated once.  The result is a
+        view of an (m, m, ...) array, so each entry's values are contiguous."""
+        vals = {}
+        for row in self.entries:
+            for e in row:
+                if id(e) not in vals:
+                    vals[id(e)] = np.asarray(e(tau, xi), dtype=complex)
+        shape = np.broadcast(*vals.values()).shape
+        out = np.empty((self.m, self.m) + shape, dtype=complex)
+        for i, row in enumerate(self.entries):
+            for j, e in enumerate(row):
+                out[i, j] = vals[id(e)]
+        return np.moveaxis(out, (0, 1), (-2, -1))
 
     def delta(self) -> Optional[OrderFunctionDiff]:
         """delta = sum_k (s_k + t_k), the order function of the determinant."""
@@ -212,6 +218,9 @@ class MatrixSymbol:
 
 
 def det(M: MatrixSymbol) -> SymbolFn:
+    if M.m == 1:  # the entry itself, bit for bit
+        return replace(M.entries[0][0], order=M.delta())
+
     def fn(tau, xi, M=M):
         return np.linalg.det(M.evaluate(tau, xi))
     return SymbolFn(fn=fn, order=M.delta(),
@@ -306,62 +315,75 @@ class CertReport:
                 "details": self.details}
 
 
-def _require_finite(vals: np.ndarray, T: np.ndarray, X: np.ndarray) -> None:
+def mesh_axes(grid: GridSpec):
+    """(tau, |xi|) as broadcast axes of shapes (n, 1) and (1, m): symbols and
+    weights evaluate on these, and only their combinations fill the mesh."""
+    return grid.tau_values()[:, None], grid.xi_norms()[None, :]
+
+
+def _point(tau, xi, idx) -> dict:
+    """The (tau, |xi|) of mesh index idx."""
+    return {"tau": float(tau[idx[0], 0]), "xi": float(xi[0, idx[1]])}
+
+
+def _require_finite(vals: np.ndarray, tau: np.ndarray, xi: np.ndarray) -> None:
     """Raise at the first non-finite value on the mesh; a stack of matrices
     (mesh axes first) is scanned entry by entry, in row-major order."""
     bad = np.moveaxis(~np.isfinite(vals), (0, 1), (-2, -1))
     if bad.any():
-        pt = tuple(np.argwhere(bad)[0][-2:])
+        pt = _point(tau, xi, np.argwhere(bad)[0][-2:])
         raise FloatingPointError(
-            f"symbol evaluation not finite at tau={T[pt]}, |xi|={X[pt]}")
+            f"symbol evaluation not finite at tau={pt['tau']}, |xi|={pt['xi']}")
 
 
 def _sample_ratio(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):
-    """|P|/W_mu over the grid; returns (tau mesh, |xi| mesh, ratio)."""
-    T, X = np.meshgrid(grid.tau_values(), grid.xi_norms(), indexing="ij")
+    """|P|/W_mu over the grid; returns (tau axis, |xi| axis, ratio)."""
+    tau, xi = mesh_axes(grid)
+    shape = np.broadcast(tau, xi).shape
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         if sym.radial:
-            vals = np.abs(np.asarray(sym(T, X), dtype=complex))
+            vals = np.abs(np.asarray(sym(tau, xi), dtype=complex))
         else:
             rng = np.random.default_rng(grid.seed)
             dirs = [np.eye(sym.n)[k] for k in range(sym.n)]
             for _ in range(grid.n_dirs):
                 v = rng.normal(size=sym.n)
                 dirs.append(v / np.linalg.norm(v))
-            vals = np.zeros(T.shape)
+            vals = np.zeros(shape)
             for d in dirs:
-                xi_vec = [X * comp for comp in d]
-                vals = np.maximum(vals, np.abs(np.asarray(sym(T, xi_vec),
+                xi_vec = [xi * comp for comp in d]
+                vals = np.maximum(vals, np.abs(np.asarray(sym(tau, xi_vec),
                                                           dtype=complex)))
-    _require_finite(vals, T, X)
-    return T, X, vals / weight_eval(mu, T, X)
+    vals = np.broadcast_to(vals, shape)
+    _require_finite(vals, tau, xi)
+    return tau, xi, vals / weight_eval(mu, tau, xi)
 
 
 def sample_matrix(M: MatrixSymbol, grid: GridSpec):
-    """(tau mesh, |xi| mesh, |M_ij| as (..., m, m), |det M|) from one
+    """(tau axis, |xi| axis, |M_ij| as (..., m, m), |det M|) from one
     evaluation of M; the entries are checked before the determinant."""
     if not all(e.radial for row in M.entries for e in row):
         raise ValueError("mixed-order certification needs radial entries")
-    T, X = np.meshgrid(grid.tau_values(), grid.xi_norms(), indexing="ij")
+    tau, xi = mesh_axes(grid)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        vals = M.evaluate(T, X)
+        vals = M.evaluate(tau, xi)
         abs_entries = np.abs(vals)
-        _require_finite(abs_entries, T, X)
+        _require_finite(abs_entries, tau, xi)
         abs_det = np.abs(np.linalg.det(vals))
-    _require_finite(abs_det, T, X)
-    return T, X, abs_entries, abs_det
+    _require_finite(abs_det, tau, xi)
+    return tau, xi, abs_entries, abs_det
 
 
-def _upper_report(T, X, ratio, grid: GridSpec) -> CertReport:
+def _upper_report(tau, xi, ratio, grid: GridSpec) -> CertReport:
     c = float(ratio.max())
     idx = np.unravel_index(int(ratio.argmax()), ratio.shape)
     return CertReport(kind="upper_bound", passed=bool(np.isfinite(c)),
                       c_upper=c, grid=grid,
-                      details={"argmax": {"tau": float(T[idx]), "xi": float(X[idx])}})
+                      details={"argmax": _point(tau, xi, idx)})
 
 
-def _ellipticity_report(T, X, ratio, grid: GridSpec, floor: float) -> CertReport:
-    mask = np.abs(T) >= grid.lam * (1 - 1e-12)
+def _ellipticity_report(tau, xi, ratio, grid: GridSpec, floor: float) -> CertReport:
+    mask = np.abs(tau) >= grid.lam * (1 - 1e-12)
     vals = np.where(mask, ratio, np.inf)
     c_lo = float(vals.min())
     c_hi = float(np.where(mask, ratio, -np.inf).max())
@@ -369,49 +391,49 @@ def _ellipticity_report(T, X, ratio, grid: GridSpec, floor: float) -> CertReport
     return CertReport(kind="ellipticity", passed=bool(c_lo > floor),
                       c_lower=c_lo, c_upper=c_hi, grid=grid,
                       details={"lambda": grid.lam, "floor": floor,
-                               "argmin": {"tau": float(T[idx]), "xi": float(X[idx])}})
+                               "argmin": _point(tau, xi, idx)})
 
 
-def invertibility_report(T, X, abs_det) -> dict:
+def invertibility_report(tau, xi, abs_det) -> dict:
     """Pointwise invertibility over the mesh, read off |det| sampled there."""
     idx = np.unravel_index(int(abs_det.argmin()), abs_det.shape)
     return {"pass": bool(abs_det.min() > 0), "min_abs_det": float(abs_det.min()),
             "max_abs_det": float(abs_det.max()),
-            "argmin": {"tau": float(T[idx]), "xi": float(X[idx])}}
+            "argmin": _point(tau, xi, idx)}
 
 
 def upper_bound_certify(sym, mu: OFLike, grid: GridSpec = GridSpec()) -> CertReport:
-    T, X, ratio = _sample_ratio(as_symbol(sym), as_diff(mu), grid)
-    return _upper_report(T, X, ratio, grid)
+    tau, xi, ratio = _sample_ratio(as_symbol(sym), as_diff(mu), grid)
+    return _upper_report(tau, xi, ratio, grid)
 
 
 def ellipticity_certify(sym, mu: OFLike, lam: Optional[float] = None,
                         grid: GridSpec = GridSpec(), floor: float = 0.0) -> CertReport:
     if lam is not None and lam != grid.lam:
         grid = replace(grid, lam=lam)
-    T, X, ratio = _sample_ratio(as_symbol(sym), as_diff(mu), grid)
-    return _ellipticity_report(T, X, ratio, grid, floor)
+    tau, xi, ratio = _sample_ratio(as_symbol(sym), as_diff(mu), grid)
+    return _ellipticity_report(tau, xi, ratio, grid, floor)
 
 
-def _ray_decay_witness(T, X, ratio, grid: GridSpec) -> list:
+def _ray_decay_witness(tau, xi, ratio, grid: GridSpec) -> list:
     """Fitted log-log slope of |det|/W over the top tau-decade of each xi-ray.
 
     Returns one record per ray.  A clearly negative slope exposes a ratio
     that decays along the ray (ellipticity failure in the limit).
     """
     rays = []
-    half = T.shape[0] // 2
-    tau_pos = T[half:, 0]
+    half = tau.shape[0] // 2
+    tau_pos = tau[half:, 0]
     top = tau_pos >= grid.tau_max ** 0.75
     logt = np.log(tau_pos[top])
-    for j in range(X.shape[1]):
+    for j in range(xi.shape[1]):
         vals = ratio[half:, j][top]
         if np.any(vals <= 0):
-            rays.append({"ray_xi": float(X[0, j]), "slope": float("-inf"),
+            rays.append({"ray_xi": float(xi[0, j]), "slope": float("-inf"),
                          "ratio_at_end": 0.0})
             continue
         slope = float(np.polyfit(logt, np.log(vals), 1)[0])
-        rays.append({"ray_xi": float(X[0, j]), "slope": slope,
+        rays.append({"ray_xi": float(xi[0, j]), "slope": slope,
                      "ratio_at_end": float(vals[-1])})
     return rays
 
@@ -433,16 +455,17 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec(),
     """
     if M.row_orders is None or M.col_orders is None:
         raise ValueError("mixed-order certification requires row/column orders")
-    T, X, abs_entries, abs_det = sample_matrix(M, grid)
+    tau, xi, abs_entries, abs_det = sample_matrix(M, grid)
+    weight = weight_evaluator(tau, xi)
     entry_reports = {}
     for i, s in enumerate(M.row_orders):
         for j, t in enumerate(M.col_orders):
-            ratio = abs_entries[..., i, j] / weight_eval(of_add(s, t), T, X)
-            entry_reports[f"{i},{j}"] = _upper_report(T, X, ratio, grid)
+            ratio = abs_entries[..., i, j] / weight(of_add(s, t))
+            entry_reports[f"{i},{j}"] = _upper_report(tau, xi, ratio, grid)
     delta = M.delta()
-    ratio = abs_det / weight_eval(delta, T, X)
-    det_rep = _ellipticity_report(T, X, ratio, grid, floor)
-    rays = _ray_decay_witness(T, X, ratio, grid)
+    ratio = abs_det / weight(delta)
+    det_rep = _ellipticity_report(tau, xi, ratio, grid, floor)
+    rays = _ray_decay_witness(tau, xi, ratio, grid)
     failing = [r for r in rays
                if r["slope"] < -slope_tol and r["ratio_at_end"] < decay_ratio_max]
     if failing:
@@ -458,4 +481,4 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec(),
                   and det_rep.passed and not failing)
     return {"passed": passed, "delta": delta, "entries": entry_reports,
             "det": det_rep, "decay_witness": witness, "worst_slope": slope,
-            "invertibility": invertibility_report(T, X, abs_det)}
+            "invertibility": invertibility_report(tau, xi, abs_det)}

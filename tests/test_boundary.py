@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from maxreg import factorization, polygons
 from maxreg.boundary import (
     BoundaryOperator,
     _default_chi,
@@ -211,6 +212,39 @@ def test_one_matrix_evaluation_per_certification(monkeypatch, certify):
     monkeypatch.setattr(MatrixSymbol, "evaluate", counted)
     out = certify(GridSpec(n_tau=16, n_xi=16))
     assert out["passed"] and len(calls) == 1
+
+
+def test_complementing_check_takes_the_roots_at_most_twice(monkeypatch):
+    """d0+ and d1+ each sit twice in the band; each is evaluated once."""
+    calls = []
+    real = factorization.roots
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(factorization, "roots", counted)
+    assert complementing_check(neumann_pair_13())["passed"]
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("matrix", [
+    lambda: build_extended_matrix(neumann_pair_13()),
+    lambda: build_extended_matrix(dirichlet_pair(), m=1, nu=of_const(1)),
+    chg_matrix,
+])
+def test_one_weight_per_positive_part(monkeypatch, matrix):
+    M = matrix()
+    calls = []
+    real = polygons._weight_positive
+
+    def counted(mu, tau, xi):
+        calls.append(mu)
+        return real(mu, tau, xi)
+    monkeypatch.setattr(polygons, "_weight_positive", counted)
+    mixed_order_certify(M, grid=GridSpec(n_tau=16, n_xi=16))
+    orders = [of_add(s, t) for s in M.row_orders for t in M.col_orders]
+    parts = {p for mu in orders + [M.delta()] for p in (mu.plus, mu.minus)}
+    assert len(calls) == len(parts) and set(calls) == parts
 
 
 def test_complementing_lopatinskii_matches_standalone_check():

@@ -7,6 +7,7 @@ import pytest
 from maxreg.boundary import bc_to_jsonable, neumann_pair_13
 from maxreg.cli import main, parse_grid
 from maxreg.factorization import d_symbol
+from maxreg.spectral import Field
 
 
 def run(capsys, *argv):
@@ -126,6 +127,27 @@ def test_overflowing_boundary_file_is_one_error_line(capsys, tmp_path):
     assert err == "error: symbol evaluation not finite at tau=-1000000.0, |xi|=0.0\n"
 
 
+@pytest.mark.parametrize("what, expect", [
+    ("boundary", "error: symbol evaluation not finite at tau=-1000000.0, "
+                 "|xi|=19.306977288832496\n"),
+    ("ellipticity", "error: symbol evaluation not finite at tau=-1000000.0, "
+                    "|xi|=12.451970847350319\n"),
+])
+def test_overflow_inside_the_mesh_is_located(capsys, tmp_path, what, expect):
+    """|xi|^250 in a boundary coefficient and |xi|^300 in a symbol first
+    overflow at an inner |xi| of the first tau row: the error names it."""
+    if what == "boundary":
+        path = _boundary_file(tmp_path, {"n": 1, "radial": True, "monomials": [
+            {"re": 1.0, "im": 0.0, "i": 0, "r": 250}]})
+    else:
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 1, "radial": True, "monomials": [
+            {"re": 1.0, "im": 0.0, "i": 1, "r": 0},
+            {"re": 1.0, "im": 0.0, "i": 0, "r": 300}]}))
+    code, out, err = run(capsys, "check", what, str(path))
+    assert code == 1 and out == "" and err == expect
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_non_radial_boundary_file_is_one_error_line(capsys, tmp_path, n):
     path = _boundary_file(tmp_path, {"n": n, "radial": False, "monomials": [
@@ -193,6 +215,48 @@ def test_solve_whole_manufactured(capsys, tmp_path):
     assert rep["data"]["relative_residual"] < 1e-10
     for name in rep["data"]["field_files"]:
         assert (tmp_path / name.split("/")[-1]).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("chg",),
+    ("solve", "whole", "--grid", "K=4,N=16"),
+])
+def test_out_into_missing_directory_is_one_error_line(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv,
+                         "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_report_write_leaves_no_field_files(capsys, tmp_path):
+    """The report goes to OUT/report.json and the fields beside OUT; when the
+    report cannot be put in place, no field file appears either."""
+    out_dir = tmp_path / "out"
+    (out_dir / "report.json").mkdir(parents=True)
+    code, out, err = run(capsys, "solve", "whole", "--grid", "K=4,N=16",
+                         "--out", str(out_dir))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["out", "report.json"]
+
+
+def test_solve_whole_transforms(capsys, monkeypatch):
+    """Each field is transformed once per solve and once per norm table."""
+    calls = []
+    coefficients, from_coefficients = Field.coefficients, Field.from_coefficients
+
+    def counted(self):
+        calls.append("forward")
+        return coefficients(self)
+
+    def counted_inverse(*args, **kwargs):
+        calls.append("inverse")
+        return from_coefficients(*args, **kwargs)
+    monkeypatch.setattr(Field, "coefficients", counted)
+    monkeypatch.setattr(Field, "from_coefficients", staticmethod(counted_inverse))
+    code, _ = run_json(capsys, "solve", "whole", "--grid", "K=4,N=16")
+    assert code == 0 and len(calls) <= 18
 
 
 def test_solve_half_manufactured(capsys):

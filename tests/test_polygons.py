@@ -1,5 +1,6 @@
 """Tests for the exact-rational polygon calculus."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -68,12 +69,16 @@ def test_negative_coordinate_rejected():
 def _hull_oracle(points):
     """Brute-force hull: a point is a vertex iff some strict half-plane keeps
     it alone; realized by checking it is not a convex combination of others
-    via exhaustive triangle containment (sufficient in 2D for small sets)."""
+    via exhaustive triangle containment (sufficient in 2D for small sets).
+    The points are scaled by their common denominator, as _hull_ccw does, so
+    the search runs on integers."""
     pts = set(points)
     aug = {(F(0), F(0))}
     for r, s in pts:
         aug |= {(F(r), F(s)), (F(r), F(0)), (F(0), F(s))}
-    aug = sorted(aug)
+    den = math.lcm(*(c.denominator for p in aug for c in p))
+    exact = {(int(r * den), int(s * den)): (r, s) for r, s in aug}
+    aug = sorted(exact)
 
     def inside(q, a, b, c):
         def cr(o, u, v):
@@ -98,7 +103,7 @@ def _hull_oracle(points):
         covered = covered or any(
             inside(q, a, b, c) for a, b, c in itertools.combinations(others, 3))
         if not covered:
-            hull_pts.append(q)
+            hull_pts.append(exact[q])
     return set(hull_pts)
 
 

@@ -260,6 +260,32 @@ def test_n2_solver():
     assert np.abs(res.u.data - f.data).max() / np.abs(f.data).max() < 1e-10
 
 
+def test_solve_whole_system_takes_one_determinant(monkeypatch):
+    """The adjugate of a 2x2 system takes its 1x1 minors as entries."""
+    grid = TorusGrid(K=2, N=8, n=2)
+    L = chg_matrix(2)
+    f = tuple(_rand(seed, grid) for seed in (20, 21))
+    calls = []
+    real = np.linalg.det
+
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
+    monkeypatch.setattr(np.linalg, "det", counted)
+    res = solve_whole_system(L, f)
+    assert calls == [grid.shape + (2, 2)]
+    assert res.diagnostics["relative_residual"] < 1e-12
+
+
+def test_xi_norm_mesh_broadcasts_over_time():
+    for grid in (TorusGrid(K=2, N=8), TorusGrid(K=2, N=8, n=2)):
+        xi = grid.xi_norm_mesh()
+        assert xi.shape == (1,) + grid.shape[1:]
+        comps = np.broadcast_arrays(*grid.xi_components())
+        np.testing.assert_array_equal(
+            xi[0], np.sqrt(sum(c[0] ** 2 for c in comps)))
+
+
 def test_norm_table():
     f = _rand(19)
     rows = norm_table(f, [("l2", 0), ("mu_D", MU_D)])

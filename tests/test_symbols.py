@@ -1,5 +1,6 @@
 """Tests for symbol representation, algebra, and grid certification."""
 
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxreg.factorization import MU_D, chg_matrix, chg_symbols, d_symbol
+from maxreg.factorization import MU_D, adj_chg_matrix, chg_matrix, chg_symbols, d_symbol
 from maxreg.polygons import (
     as_diff,
     o_elem,
@@ -27,7 +28,9 @@ from maxreg.symbols import (
     as_symbol,
     det,
     ellipticity_certify,
+    mesh_axes,
     mixed_order_certify,
+    sample_matrix,
     upper_bound_certify,
 )
 
@@ -113,6 +116,61 @@ def test_adjugate_identity_random():
         dI = dd(tau, xi) * np.eye(2)
         worst = max(worst, np.linalg.norm(M @ A - dI) / (1 + np.linalg.norm(dI)))
     assert worst < 1e-10
+
+
+def test_det_of_one_by_one_is_its_entry():
+    e = as_symbol(PolySymbol(1, True, ((0.3 + 1.7j, 1, 2), (-2.1, 0, 3))))
+    tau, xi = mesh_axes(GridSpec(n_tau=16, n_xi=16))
+    np.testing.assert_array_equal(det(MatrixSymbol(((e,),)))(tau, xi),
+                                  e(tau, xi))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_adjugate_of_chg_matrix_is_the_hand_written_one(n):
+    tau, xi = mesh_axes(GridSpec(n_tau=16, n_xi=16))
+    np.testing.assert_array_equal(adjugate(chg_matrix(n)).evaluate(tau, xi),
+                                  adj_chg_matrix(n).evaluate(tau, xi))
+
+
+def test_axis_evaluation_matches_the_mesh():
+    """Symbols and weights on the broadcast axes give, bit for bit, what they
+    give on the full meshgrid, and the reports name the mesh points."""
+    from maxreg.boundary import build_extended_matrix, neumann_pair_13
+    from maxreg.polygons import weight_eval
+    grid = GridSpec(n_tau=16, n_xi=16)
+    T, X = np.meshgrid(grid.tau_values(), grid.xi_norms(), indexing="ij")
+    M = build_extended_matrix(neumann_pair_13())
+    tau, xi, abs_entries, abs_det = sample_matrix(M, grid)
+    vals = M.evaluate(T, X)
+    np.testing.assert_array_equal(abs_entries, np.abs(vals))
+    np.testing.assert_array_equal(abs_det, np.abs(np.linalg.det(vals)))
+    np.testing.assert_array_equal(weight_eval(M.delta(), tau, xi),
+                                  weight_eval(M.delta(), T, X))
+
+    def point(k):
+        return {"tau": T[k], "xi": X[k]}
+    out = mixed_order_certify(M, grid=grid)
+    for i, s in enumerate(M.row_orders):
+        for j, t in enumerate(M.col_orders):
+            ratio = np.abs(vals[..., i, j]) / weight_eval(of_add(s, t), T, X)
+            k = np.unravel_index(ratio.argmax(), ratio.shape)
+            assert out["entries"][f"{i},{j}"].details["argmax"] == point(k)
+    k = np.unravel_index(abs_det.argmin(), abs_det.shape)
+    assert out["invertibility"]["argmin"] == point(k)
+
+
+def test_non_finite_point_is_located_on_the_mesh():
+    """The first non-finite value in row-major mesh order is reported, here
+    at an inner tau and |xi|."""
+    grid = GridSpec(n_tau=16, n_xi=16)
+    T, X = np.meshgrid(grid.tau_values(), grid.xi_norms(), indexing="ij")
+    k = tuple(np.argwhere((T > 5) & (X > 2))[0])
+    expect = f"symbol evaluation not finite at tau={T[k]}, |xi|={X[k]}"
+    sym = SymbolFn(fn=lambda t, x: np.where((t > 5) & (x > 2), np.inf, 1.0))
+    with pytest.raises(FloatingPointError, match=re.escape(expect)):
+        upper_bound_certify(sym, 0, grid)
+    with pytest.raises(FloatingPointError, match=re.escape(expect)):
+        sample_matrix(MatrixSymbol(((1, 0), (0, sym))), grid)
 
 
 def test_identity_matrix_det_adj():
