@@ -56,6 +56,28 @@ def d1_plus_symbol() -> SymbolFn:
                     name="d1_plus", oscillatory_only=True)
 
 
+def dplus_band() -> tuple[SymbolFn, SymbolFn]:
+    """(d0+, d1+) from one computation of D+'s coefficients.
+
+    The first of the two evaluated at some (tau, xi) computes both and
+    holds the other until it is evaluated at the same (tau, xi) objects,
+    so one evaluation of an extended matrix takes the roots once.
+    """
+    held = {}
+
+    def part(name, other):
+        def fn(tau, xi):
+            got = held.pop(name, None)
+            if got is not None and got[0] is tau and got[1] is xi:
+                return got[2]
+            held.clear()
+            fc = dplus_coeffs(tau, xi)
+            held[other] = (tau, xi, getattr(fc, other))
+            return getattr(fc, name)
+        return SymbolFn(fn=fn, name=name, oscillatory_only=True)
+    return part("d0_plus", "d1_plus"), part("d1_plus", "d0_plus")
+
+
 def _is_zero_symbol(sym) -> bool:
     if isinstance(sym, (int, float, complex)):
         return complex(sym) == 0
@@ -149,7 +171,8 @@ def build_extended_matrix(bc: Sequence[BoundaryOperator], m: int = 0,
         raise ValueError("nu does not keep mu_D + nu CHG-shaped")
     size = 4 + m
     zero = as_symbol(0)
-    band = {0: d0_plus_symbol(), 1: d1_plus_symbol(), 2: as_symbol(-1)}
+    d0_plus, d1_plus = dplus_band()
+    band = {0: d0_plus, 1: d1_plus, 2: as_symbol(-1)}
     rows = []
     for i in range(1, size + 1):  # 1-based as in the definition
         row = []

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .polygons import OFLike, as_diff, smooth_weight_eval
-from .symbols import MatrixSymbol, SymbolFn, as_symbol
+from .symbols import MatrixSymbol, SymbolFn, as_symbol, det_values
 
 
 def require_integers(grid, *names) -> None:
@@ -113,16 +113,18 @@ class Field:
         return Field(self.grid, self.data.copy(), self.oscillatory)
 
     def coefficients(self) -> np.ndarray:
-        """Full (k, xi) Fourier coefficients (unitary in the box measure)."""
+        """Full (k, xi) Fourier coefficients (unitary in the box measure).
+        The 1/N^n scaling, a power of two and so exact, is applied inside
+        the transform rather than on a copy after it."""
         axes = tuple(range(1, 1 + self.grid.n))
-        return np.fft.fftn(self.data, axes=axes) / self.grid.N ** self.grid.n
+        return np.fft.fftn(self.data, axes=axes, norm="forward")
 
     @staticmethod
     def from_coefficients(grid: TorusGrid, coeffs: np.ndarray,
                           oscillatory: bool = False) -> "Field":
         axes = tuple(range(1, 1 + grid.n))
-        data = np.fft.ifftn(np.asarray(coeffs, complex) * grid.N ** grid.n,
-                            axes=axes)
+        data = np.fft.ifftn(np.asarray(coeffs, complex), axes=axes,
+                            norm="forward")
         return Field(grid, data, oscillatory)
 
     def sample_time(self, t) -> np.ndarray:
@@ -184,11 +186,16 @@ def _symbol_values(m, grid: TorusGrid, oscillatory: bool) -> np.ndarray:
     vals = np.broadcast_to(vals, grid.shape).copy()
     if oscillatory:
         vals[grid.K] = 0.0
+    _require_finite(vals, grid)
+    return vals
+
+
+def _require_finite(vals: np.ndarray, grid: TorusGrid) -> None:
+    """Raise at the first non-finite value on the (k, xi) mesh."""
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(vals))[0]
         raise FloatingPointError(
             f"symbol not finite at k={bad[0] - grid.K}, grid index {tuple(bad[1:])}")
-    return vals
 
 
 def apply_multiplier(f: Field, m) -> Field:
@@ -200,23 +207,27 @@ def apply_multiplier(f: Field, m) -> Field:
                                    oscillatory=True)
 
 
-def norms_weighted(f: Field, mus: Sequence[OFLike]) -> list[float]:
+def coefficient_norms(grid: TorusGrid, c: np.ndarray, mus: Sequence[OFLike],
+                      oscillatory: bool = True) -> list[float]:
     """|| op[w_mu] f ||_{L^2(G)} for each mu, by discrete Plancherel with
-    smooth weights, from one transform of f."""
-    grid = f.grid
+    smooth weights, from the (k, xi) coefficients c of f."""
     tau = grid.tau_mesh()
-    tau = np.where(tau == 0, grid.omega if f.oscillatory else 0.0, tau)
+    tau = np.where(tau == 0, grid.omega if oscillatory else 0.0, tau)
     xi = grid.xi_norm_mesh()
-    c = f.coefficients()
-    if f.oscillatory:
-        c[grid.K] = 0.0
     power = np.abs(c) ** 2
+    if oscillatory:
+        power[grid.K] = 0.0
     out = []
     for mu in mus:
         w = smooth_weight_eval(as_diff(mu), tau, xi)
         total = float(np.sum(power * np.asarray(w) ** 2))
         out.append(float(np.sqrt(grid.T * grid.Lx ** grid.n * total)))
     return out
+
+
+def norms_weighted(f: Field, mus: Sequence[OFLike]) -> list[float]:
+    """|| op[w_mu] f ||_{L^2(G)} for each mu, from one transform of f."""
+    return coefficient_norms(f.grid, f.coefficients(), mus, f.oscillatory)
 
 
 def norm_weighted(f: Field, mu: OFLike = 0) -> float:
@@ -239,16 +250,18 @@ class SolveResult:
 
 
 def _invert_values(vals: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    live = np.ones(grid.shape, dtype=bool)
-    live[grid.K] = False
-    if np.any(vals[live] == 0):
-        bad = np.argwhere(live & (vals == 0))[0]
+    """1/vals on the live modes and 0 on the k=0 slab, in place of vals."""
+    zero = vals == 0
+    zero[grid.K] = False
+    if zero.any():
+        bad = np.argwhere(zero)[0]
         k = int(bad[0] - grid.K)
         raise ZeroDivisionError(
             f"singular symbol at live frequency k={k}, grid index {tuple(bad[1:])}")
-    inv = np.zeros_like(vals)
-    inv[live] = 1.0 / vals[live]
-    return inv
+    vals[grid.K] = 1.0
+    np.divide(1.0, vals, out=vals)
+    vals[grid.K] = 0.0
+    return vals
 
 
 def solve_whole_scalar(P, f: Field, mu: Optional[OFLike] = None,
@@ -269,14 +282,91 @@ def solve_whole_scalar(P, f: Field, mu: Optional[OFLike] = None,
     return SolveResult(u=u, diagnostics=diag)
 
 
-def _matrix_times(L: MatrixSymbol, coeffs: Sequence[np.ndarray], grid: TorusGrid):
-    """The coefficients of op[L] u from those of u, yielded row by row so
-    that one row is held at a time."""
-    for row in L.entries:
-        acc = np.zeros(grid.shape, complex)
-        for e, c in zip(row, coeffs):
-            acc += _symbol_values(e, grid, oscillatory=True) * c
-        yield acc
+def system_values(L: MatrixSymbol, grid: TorusGrid) -> np.ndarray:
+    """L's entries on the live (tau_k, xi) mesh as a (..., m, m) stack, each
+    distinct entry object evaluated once; the k=0 slab is set to 0."""
+    out = np.empty((L.m, L.m) + grid.shape, complex)
+    first = {}
+    for i, row in enumerate(L.entries):
+        for j, e in enumerate(row):
+            if id(e) in first:
+                out[i, j] = out[first[id(e)]]
+            else:
+                out[i, j] = _symbol_values(e, grid, oscillatory=True)
+                first[id(e)] = (i, j)
+    return np.moveaxis(out, (0, 1), (-2, -1))
+
+
+def system_times(vals: np.ndarray, coeffs: Sequence[np.ndarray]):
+    """The coefficients of op[L] u from L's values (system_values) and the
+    coefficients of u, made row by row as they are taken."""
+    def row(i):
+        acc = vals[..., i, 0] * coeffs[0]
+        for j in range(1, len(coeffs)):
+            acc += vals[..., i, j] * coeffs[j]
+        return acc
+    return (row(i) for i in range(vals.shape[-1]))
+
+
+def _adjugate_times(vals: np.ndarray, coeffs: Sequence[np.ndarray]):
+    """The rows of op[ad L] f, (ad L)_ij = (-1)^(i+j) det L^(ji), from L's
+    values, made row by row as they are taken; the minors of a 2x2 system
+    are its entries."""
+    m = vals.shape[-1]
+
+    def row(i):
+        acc = None
+        for j in range(m):
+            keep_r = [r for r in range(m) if r != j]
+            keep_c = [c for c in range(m) if c != i]
+            minor = (vals[..., keep_r[0], keep_c[0]] if m == 2
+                     else det_values(vals[..., keep_r, :][..., keep_c]))
+            if acc is None:
+                acc = minor * coeffs[j]
+                if (i + j) % 2:
+                    np.negative(acc, out=acc)
+            elif (i + j) % 2:
+                acc -= minor * coeffs[j]
+            else:
+                acc += minor * coeffs[j]
+        return acc
+    if m == 1:
+        return (coeffs[0].copy(),)
+    return (row(i) for i in range(m))
+
+
+def system_solve(vals: np.ndarray, fc: Sequence[np.ndarray],
+                 grid: TorusGrid) -> tuple:
+    """u = op[ad L] op[1/det L] f as fields, frequency by frequency, from L's
+    values and the coefficients of f."""
+    det = det_values(vals)
+    _require_finite(det, grid)
+    inv = _invert_values(det, grid)
+    rows = list(_adjugate_times(vals, fc))
+    for row in rows:
+        row *= inv
+    del inv, row
+    u = []
+    while rows:  # each row is dropped once its field is made
+        u.append(Field.from_coefficients(grid, rows.pop(0), oscillatory=True))
+    return tuple(u)
+
+
+def _distance_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """sum |a - b|^2, taken in place of a."""
+    a -= b
+    return float(np.sum(np.abs(a) ** 2))
+
+
+def system_residual(vals: np.ndarray, u: Sequence[Field],
+                    fc: Sequence[np.ndarray]) -> tuple:
+    """(||op[L] u - f|| / ||f||, the coefficients of u) on the discrete basis,
+    from one transform of each returned u_j; one row of op[L] u is held at
+    a time."""
+    uc = [uj.coefficients() for uj in u]
+    res = sum(map(_distance_sq, system_times(vals, uc), fc))
+    scale = sum(float(np.sum(np.abs(c) ** 2)) for c in fc)
+    return (float(np.sqrt(res / scale)) if scale else 0.0), uc
 
 
 def apply_system(L: MatrixSymbol, u: Sequence[Field]) -> tuple:
@@ -286,29 +376,23 @@ def apply_system(L: MatrixSymbol, u: Sequence[Field]) -> tuple:
     if not all(uj.oscillatory for uj in u):
         raise ValueError("multipliers act on purely oscillatory fields")
     grid = u[0].grid
-    rows = _matrix_times(L, [uj.coefficients() for uj in u], grid)
+    rows = system_times(system_values(L, grid), [uj.coefficients() for uj in u])
     return tuple(Field.from_coefficients(grid, c, oscillatory=True) for c in rows)
 
 
 def solve_whole_system(L: MatrixSymbol, f: Sequence[Field]) -> SolveResult:
-    """u = op[ad L] op[1/det L] f, frequency by frequency."""
+    """u = op[ad L] op[1/det L] f, frequency by frequency, from one
+    evaluation of L's entries."""
     if len(f) != L.m:
         raise ValueError("one right-hand side per equation")
     if not all(fi.oscillatory for fi in f):
         raise ValueError("whole-space solves act on oscillatory data")
     grid = f[0].grid
-    from .symbols import adjugate, det
-    inv = _invert_values(_symbol_values(det(L), grid, oscillatory=True), grid)
+    vals = system_values(L, grid)
     fc = [fi.coefficients() for fi in f]
-    out = tuple(Field.from_coefficients(grid, row * inv, oscillatory=True)
-                for row in _matrix_times(adjugate(L), fc, grid))
-    del inv
-    # residual of the solved system on the discrete basis
-    lu = _matrix_times(L, [u.coefficients() for u in out], grid)
-    res = sum(float(np.sum(np.abs(a - c) ** 2)) for a, c in zip(lu, fc))
-    scale = sum(float(np.sum(np.abs(c) ** 2)) for c in fc)
-    diag = {"relative_residual": float(np.sqrt(res / scale)) if scale else 0.0}
-    return SolveResult(u=out, diagnostics=diag)
+    u = system_solve(vals, fc, grid)
+    residual, _ = system_residual(vals, u, fc)
+    return SolveResult(u=u, diagnostics={"relative_residual": residual})
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +419,9 @@ def read_field(path) -> Field:
     return Field(grid, data, oscillatory=oscillatory)
 
 
-def norm_table(f: Field, orders: Sequence[tuple[str, OFLike]]) -> list[dict]:
-    """Rows {name, norm} for CSV export."""
-    norms = norms_weighted(f, [mu for _, mu in orders])
+def norm_table(grid: TorusGrid, c: np.ndarray,
+               orders: Sequence[tuple[str, OFLike]]) -> list[dict]:
+    """Rows {name, norm} for CSV export, from the coefficients c of an
+    oscillatory field."""
+    norms = coefficient_norms(grid, c, [mu for _, mu in orders])
     return [{"name": name, "norm": v} for (name, _), v in zip(orders, norms)]

@@ -217,12 +217,59 @@ class MatrixSymbol:
         return acc
 
 
+# (columns of rows 0-1, complementary columns of rows 2-3, sign) for the
+# Laplace expansion of a 4x4 determinant along its first two rows
+_LAPLACE_4 = (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
+              ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1))
+
+
+def det_values(a: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., m, m) stack, as a new array of shape (...).
+
+    Up to m = 4 this is whole-array arithmetic on the entries: the entry,
+    ad - bc, the first-row expansion, and for m = 4 the Laplace expansion
+    along the first two rows (six products of complementary 2x2 minors).
+    Larger stacks go to LAPACK (np.linalg.det).
+    """
+    m = a.shape[-1]
+    if not 1 <= m <= 4:
+        return np.linalg.det(a)
+
+    def e(i, j):
+        return a[..., i, j]
+
+    def minor2(r, c):  # the 2x2 minor on rows r, columns c
+        out = e(r[0], c[0]) * e(r[1], c[1])
+        out -= e(r[0], c[1]) * e(r[1], c[0])
+        return out
+    if m == 1:
+        return e(0, 0).copy()
+    if m == 2:
+        return minor2((0, 1), (0, 1))
+    if m == 3:
+        out = e(0, 0) * minor2((1, 2), (1, 2))
+        out -= e(0, 1) * minor2((1, 2), (0, 2))
+        out += e(0, 2) * minor2((1, 2), (0, 1))
+        return out
+    out = None
+    for top, bottom, sign in _LAPLACE_4:
+        term = minor2((0, 1), top)
+        term *= minor2((2, 3), bottom)
+        if out is None:
+            out = term
+        elif sign > 0:
+            out += term
+        else:
+            out -= term
+    return out
+
+
 def det(M: MatrixSymbol) -> SymbolFn:
     if M.m == 1:  # the entry itself, bit for bit
         return replace(M.entries[0][0], order=M.delta())
 
     def fn(tau, xi, M=M):
-        return np.linalg.det(M.evaluate(tau, xi))
+        return det_values(M.evaluate(tau, xi))
     return SymbolFn(fn=fn, order=M.delta(),
                     radial=all(e.radial for row in M.entries for e in row),
                     name="det")
@@ -327,11 +374,10 @@ def _point(tau, xi, idx) -> dict:
 
 
 def _require_finite(vals: np.ndarray, tau: np.ndarray, xi: np.ndarray) -> None:
-    """Raise at the first non-finite value on the mesh; a stack of matrices
-    (mesh axes first) is scanned entry by entry, in row-major order."""
-    bad = np.moveaxis(~np.isfinite(vals), (0, 1), (-2, -1))
+    """Raise at the first non-finite value on the mesh, in row-major order."""
+    bad = ~np.isfinite(vals)
     if bad.any():
-        pt = _point(tau, xi, np.argwhere(bad)[0][-2:])
+        pt = _point(tau, xi, np.argwhere(bad)[0])
         raise FloatingPointError(
             f"symbol evaluation not finite at tau={pt['tau']}, |xi|={pt['xi']}")
 
@@ -360,18 +406,20 @@ def _sample_ratio(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):
 
 
 def sample_matrix(M: MatrixSymbol, grid: GridSpec):
-    """(tau axis, |xi| axis, |M_ij| as (..., m, m), |det M|) from one
-    evaluation of M; the entries are checked before the determinant."""
+    """(tau axis, |xi| axis, M's values as (..., m, m), |det M|) from one
+    evaluation of M.  Each |M_ij| is checked, entry by entry in row-major
+    order, before the determinant; none of them is kept."""
     if not all(e.radial for row in M.entries for e in row):
         raise ValueError("mixed-order certification needs radial entries")
     tau, xi = mesh_axes(grid)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         vals = M.evaluate(tau, xi)
-        abs_entries = np.abs(vals)
-        _require_finite(abs_entries, tau, xi)
-        abs_det = np.abs(np.linalg.det(vals))
+        for i in range(M.m):
+            for j in range(M.m):
+                _require_finite(np.abs(vals[..., i, j]), tau, xi)
+        abs_det = np.abs(det_values(vals))
     _require_finite(abs_det, tau, xi)
-    return tau, xi, abs_entries, abs_det
+    return tau, xi, vals, abs_det
 
 
 def _upper_report(tau, xi, ratio, grid: GridSpec) -> CertReport:
@@ -419,23 +467,29 @@ def _ray_decay_witness(tau, xi, ratio, grid: GridSpec) -> list:
     """Fitted log-log slope of |det|/W over the top tau-decade of each xi-ray.
 
     Returns one record per ray.  A clearly negative slope exposes a ratio
-    that decays along the ray (ellipticity failure in the limit).
+    that decays along the ray (ellipticity failure in the limit).  Every
+    ray is fitted at once, by one centered least-squares product; a ray
+    that touches zero has slope -inf.  A window without two distinct tau
+    has no slope, and raises ValueError.
     """
-    rays = []
     half = tau.shape[0] // 2
     tau_pos = tau[half:, 0]
     top = tau_pos >= grid.tau_max ** 0.75
     logt = np.log(tau_pos[top])
-    for j in range(xi.shape[1]):
-        vals = ratio[half:, j][top]
-        if np.any(vals <= 0):
-            rays.append({"ray_xi": float(xi[0, j]), "slope": float("-inf"),
-                         "ratio_at_end": 0.0})
-            continue
-        slope = float(np.polyfit(logt, np.log(vals), 1)[0])
-        rays.append({"ray_xi": float(xi[0, j]), "slope": slope,
-                     "ratio_at_end": float(vals[-1])})
-    return rays
+    if logt.size < 2 or logt[0] == logt[-1]:
+        raise ValueError("the decay fit needs two distinct tau >= tau_max^0.75 "
+                         "on the grid: raise n_tau or tau_max")
+    logt -= logt.mean()
+    sxx = float(logt @ logt)
+    vals = ratio[half:][top]  # (tau in the window, ray)
+    positive = (vals > 0).all(axis=0)
+    logv = np.log(np.where(positive, vals, 1.0))
+    logv -= logv.mean(axis=0)
+    slopes = logt @ logv / sxx
+    return [{"ray_xi": float(x), "slope": float(sl), "ratio_at_end": float(v)}
+            if ok else
+            {"ray_xi": float(x), "slope": float("-inf"), "ratio_at_end": 0.0}
+            for x, sl, v, ok in zip(xi[0], slopes, vals[-1], positive)]
 
 
 def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec(),
@@ -455,12 +509,12 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec(),
     """
     if M.row_orders is None or M.col_orders is None:
         raise ValueError("mixed-order certification requires row/column orders")
-    tau, xi, abs_entries, abs_det = sample_matrix(M, grid)
+    tau, xi, vals, abs_det = sample_matrix(M, grid)
     weight = weight_evaluator(tau, xi)
     entry_reports = {}
     for i, s in enumerate(M.row_orders):
         for j, t in enumerate(M.col_orders):
-            ratio = abs_entries[..., i, j] / weight(of_add(s, t))
+            ratio = np.abs(vals[..., i, j]) / weight(of_add(s, t))
             entry_reports[f"{i},{j}"] = _upper_report(tau, xi, ratio, grid)
     delta = M.delta()
     ratio = abs_det / weight(delta)

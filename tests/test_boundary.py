@@ -15,8 +15,10 @@ from maxreg.boundary import (
     build_extended_matrix,
     builtin_boundary_conditions,
     complementing_check,
+    d0_plus_symbol,
     d1_plus_symbol,
     dirichlet_pair,
+    dplus_band,
     lopatinskii_check,
     neumann_pair_13,
     trace_operator,
@@ -31,7 +33,15 @@ from maxreg.polygons import (
     of_neg,
     trace_order_function,
 )
-from maxreg.symbols import GridSpec, MatrixSymbol, PolySymbol, det, mixed_order_certify
+from maxreg.symbols import (
+    GridSpec,
+    MatrixSymbol,
+    PolySymbol,
+    det,
+    det_values,
+    mixed_order_certify,
+    sample_matrix,
+)
 
 O_HALF = o_elem(F(1, 2))
 
@@ -214,8 +224,8 @@ def test_one_matrix_evaluation_per_certification(monkeypatch, certify):
     assert out["passed"] and len(calls) == 1
 
 
-def test_complementing_check_takes_the_roots_at_most_twice(monkeypatch):
-    """d0+ and d1+ each sit twice in the band; each is evaluated once."""
+def test_complementing_check_takes_the_roots_at_most_once(monkeypatch):
+    """d0+ and d1+ each sit twice in the band; both come from one roots call."""
     calls = []
     real = factorization.roots
 
@@ -224,7 +234,37 @@ def test_complementing_check_takes_the_roots_at_most_twice(monkeypatch):
         return real(*args)
     monkeypatch.setattr(factorization, "roots", counted)
     assert complementing_check(neumann_pair_13())["passed"]
-    assert len(calls) <= 2
+    assert len(calls) <= 1
+
+
+def test_dplus_band_matches_the_single_symbols():
+    """A band entry evaluated at new (tau, xi) objects takes fresh roots,
+    whichever of the pair came first."""
+    d0, d1 = dplus_band()
+    tau, xip = _sample_points()
+    other = (tau + 1.0, xip * 2.0)
+    np.testing.assert_array_equal(d0(tau, xip), d0_plus_symbol()(tau, xip))
+    np.testing.assert_array_equal(d1(*other), d1_plus_symbol()(*other))
+    np.testing.assert_array_equal(d1(tau, xip), d1_plus_symbol()(tau, xip))
+    np.testing.assert_array_equal(d0(tau, xip), d0_plus_symbol()(tau, xip))
+
+
+CERT_MESH = GridSpec(n_tau=256, n_xi=256)
+
+
+def test_dirichlet_determinant_is_exactly_one():
+    M = build_extended_matrix(dirichlet_pair())
+    _, _, vals, _ = sample_matrix(M, CERT_MESH)
+    assert np.all(det_values(vals) == 1.0)
+    rep = lopatinskii_check(M, CERT_MESH)
+    assert rep["min_abs_det"] == rep["max_abs_det"] == 1.0
+
+
+def test_neumann_determinant_is_exactly_minus_d0_d1():
+    M = build_extended_matrix(neumann_pair_13())
+    tau, xi, vals, _ = sample_matrix(M, CERT_MESH)
+    fc = dplus_coeffs(tau, xi)
+    np.testing.assert_array_equal(det_values(vals), -(fc.d0_plus * fc.d1_plus))
 
 
 @pytest.mark.parametrize("matrix", [

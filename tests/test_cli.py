@@ -8,6 +8,7 @@ from maxreg.boundary import bc_to_jsonable, neumann_pair_13
 from maxreg.cli import main, parse_grid
 from maxreg.factorization import d_symbol
 from maxreg.spectral import Field
+from maxreg.symbols import PolySymbol
 
 
 def run(capsys, *argv):
@@ -229,8 +230,22 @@ def test_out_into_missing_directory_is_one_error_line(capsys, tmp_path, argv):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_out_into_existing_directory(capsys, tmp_path):
+    """With --out DIR, the report and both fields go into DIR."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, _ = run(capsys, "solve", "whole", "--grid", "K=2,N=8",
+                       "--out", str(out_dir))
+    assert code == 0 and out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "out", "report.json", "u1.field", "u2.field"]
+    rep = json.loads((out_dir / "report.json").read_text())
+    assert rep["data"]["field_files"] == [str(out_dir / "u1.field"),
+                                          str(out_dir / "u2.field")]
+
+
 def test_failed_report_write_leaves_no_field_files(capsys, tmp_path):
-    """The report goes to OUT/report.json and the fields beside OUT; when the
+    """The report goes to OUT/report.json and the fields into OUT; when the
     report cannot be put in place, no field file appears either."""
     out_dir = tmp_path / "out"
     (out_dir / "report.json").mkdir(parents=True)
@@ -256,7 +271,19 @@ def test_solve_whole_transforms(capsys, monkeypatch):
     monkeypatch.setattr(Field, "coefficients", counted)
     monkeypatch.setattr(Field, "from_coefficients", staticmethod(counted_inverse))
     code, _ = run_json(capsys, "solve", "whole", "--grid", "K=4,N=16")
-    assert code == 0 and len(calls) <= 18
+    assert code == 0 and len(calls) <= 8
+
+
+def test_solve_whole_evaluates_each_entry_of_l_once(capsys, monkeypatch):
+    calls = []
+    real = PolySymbol.__call__
+
+    def counted(self, tau, xi):
+        calls.append(self)
+        return real(self, tau, xi)
+    monkeypatch.setattr(PolySymbol, "__call__", counted)
+    code, _ = run_json(capsys, "solve", "whole", "--grid", "K=4,N=16")
+    assert code == 0 and len(calls) <= 4
 
 
 def test_solve_half_manufactured(capsys):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from maxreg import spectral
 from maxreg.factorization import MU_D, chg_matrix, d_symbol
 from maxreg.polygons import of_add, of_const, of_linear, smooth_weight_eval
 from maxreg.spectral import (
     Field,
     TorusGrid,
     apply_multiplier,
+    apply_system,
     mode_field,
     norm_table,
     norm_weighted,
@@ -21,7 +23,7 @@ from maxreg.spectral import (
     write_field,
     zero_field,
 )
-from maxreg.symbols import SymbolFn
+from maxreg.symbols import MatrixSymbol, PolySymbol, SymbolFn
 
 GRID = TorusGrid()
 
@@ -266,15 +268,34 @@ def test_solve_whole_system_takes_one_determinant(monkeypatch):
     L = chg_matrix(2)
     f = tuple(_rand(seed, grid) for seed in (20, 21))
     calls = []
-    real = np.linalg.det
+    real = spectral.det_values
 
     def counted(a):
         calls.append(a.shape)
         return real(a)
-    monkeypatch.setattr(np.linalg, "det", counted)
+    monkeypatch.setattr(spectral, "det_values", counted)
     res = solve_whole_system(L, f)
     assert calls == [grid.shape + (2, 2)]
     assert res.diagnostics["relative_residual"] < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 3])
+def test_solve_whole_system_of_any_size(m):
+    """The adjugate rows come from the minors of the one evaluation of L:
+    the entry itself for m = 1, 2x2 minors for m = 3."""
+    grid = TorusGrid(K=2, N=8, n=2)
+
+    def entry(i, j):
+        if i == j:  # i tau + |xi|^2 + 1: invertible on the live modes
+            return PolySymbol(2, True, ((1j, 1, 0), (1.0, 0, 2), (1.0, 0, 0)))
+        return PolySymbol(2, True, ((0.1 * (i - j), 0, 0),))
+    L = MatrixSymbol(tuple(tuple(entry(i, j) for j in range(m))
+                           for i in range(m)))
+    u_star = tuple(_rand(30 + i, grid) for i in range(m))
+    res = solve_whole_system(L, apply_system(L, u_star))
+    for got, want in zip(res.u, u_star):
+        assert np.abs(got.data - want.data).max() < 1e-12 * np.abs(want.data).max()
+    assert res.diagnostics["relative_residual"] < 1e-14
 
 
 def test_xi_norm_mesh_broadcasts_over_time():
@@ -288,7 +309,7 @@ def test_xi_norm_mesh_broadcasts_over_time():
 
 def test_norm_table():
     f = _rand(19)
-    rows = norm_table(f, [("l2", 0), ("mu_D", MU_D)])
+    rows = norm_table(f.grid, f.coefficients(), [("l2", 0), ("mu_D", MU_D)])
     assert rows[0]["name"] == "l2"
     assert rows[0]["norm"] == pytest.approx(norm_weighted(f, 0))
     assert rows[1]["norm"] > rows[0]["norm"]

@@ -27,12 +27,14 @@ from maxreg.symbols import (
     adjugate,
     as_symbol,
     det,
+    det_values,
     ellipticity_certify,
     mesh_axes,
     mixed_order_certify,
     sample_matrix,
     upper_bound_certify,
 )
+from maxreg.symbols import _ray_decay_witness
 
 
 def test_exponent_set_of_d():
@@ -140,10 +142,10 @@ def test_axis_evaluation_matches_the_mesh():
     grid = GridSpec(n_tau=16, n_xi=16)
     T, X = np.meshgrid(grid.tau_values(), grid.xi_norms(), indexing="ij")
     M = build_extended_matrix(neumann_pair_13())
-    tau, xi, abs_entries, abs_det = sample_matrix(M, grid)
+    tau, xi, axis_vals, abs_det = sample_matrix(M, grid)
     vals = M.evaluate(T, X)
-    np.testing.assert_array_equal(abs_entries, np.abs(vals))
-    np.testing.assert_array_equal(abs_det, np.abs(np.linalg.det(vals)))
+    np.testing.assert_array_equal(axis_vals, vals)
+    np.testing.assert_array_equal(abs_det, np.abs(det_values(vals)))
     np.testing.assert_array_equal(weight_eval(M.delta(), tau, xi),
                                   weight_eval(M.delta(), T, X))
 
@@ -157,6 +159,63 @@ def test_axis_evaluation_matches_the_mesh():
             assert out["entries"][f"{i},{j}"].details["argmax"] == point(k)
     k = np.unravel_index(abs_det.argmin(), abs_det.shape)
     assert out["invertibility"]["argmin"] == point(k)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_det_values_matches_lapack(m):
+    """Within 1e-12 of the Hadamard bound prod ||row_i||, rows scaled from
+    1e-6 to 1e6."""
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(300, m, m)) + 1j * rng.normal(size=(300, m, m))
+    a *= 10.0 ** rng.uniform(-6, 6, size=(300, m, 1))
+    bound = np.prod(np.linalg.norm(a, axis=-1), axis=-1)
+    got = det_values(a)
+    assert got.shape == (300,)
+    assert np.all(np.abs(got - np.linalg.det(a)) <= 1e-12 * bound)
+
+
+def test_det_values_is_a_new_array():
+    a = np.ones((3, 1, 1), complex)
+    det_values(a)[:] = 5.0
+    assert np.all(a == 1.0)
+
+
+def test_ray_slopes_match_polyfit():
+    """The batched fit gives each ray's np.polyfit slope to 1e-13."""
+    grid = GridSpec(n_tau=64, n_xi=32)
+    M = chg_matrix()
+    tau, xi, _, abs_det = sample_matrix(M, grid)
+    from maxreg.polygons import weight_eval
+    ratio = abs_det / weight_eval(M.delta(), tau, xi)
+    rays = _ray_decay_witness(tau, xi, ratio, grid)
+    half = tau.shape[0] // 2
+    top = tau[half:, 0] >= grid.tau_max ** 0.75
+    logt = np.log(tau[half:, 0][top])
+    for j, ray in enumerate(rays):
+        vals = ratio[half:, j][top]
+        assert ray["slope"] == pytest.approx(
+            np.polyfit(logt, np.log(vals), 1)[0], abs=1e-13)
+        assert ray["ratio_at_end"] == vals[-1]
+
+
+def test_zero_ratio_ray_has_slope_minus_inf():
+    """|det| = |xi|^2 vanishes on the xi = 0 ray: that ray is the witness,
+    with slope -inf, and no log(0) is taken."""
+    M = MatrixSymbol(((PolySymbol(1, True, ((1.0, 0, 2),)),),),
+                     row_orders=(as_diff(0),), col_orders=(as_diff(0),))
+    out = mixed_order_certify(M, GridSpec(n_tau=16, n_xi=16))
+    assert out["decay_witness"] == {"ray_xi": 0.0, "slope": float("-inf"),
+                                    "ratio_at_end": 0.0}
+    assert not out["passed"]
+
+
+@pytest.mark.parametrize("grid", [GridSpec(n_tau=1, n_xi=4),
+                                  GridSpec(n_tau=2, n_xi=4),
+                                  GridSpec(tau_max=1.0, n_xi=4)])
+def test_ray_fit_needs_two_tau_in_the_window(grid):
+    """A top tau-decade without two distinct samples has no slope to fit."""
+    with pytest.raises(ValueError, match="decay fit needs two distinct tau"):
+        mixed_order_certify(chg_matrix(), grid)
 
 
 def test_non_finite_point_is_located_on_the_mesh():
