@@ -141,10 +141,7 @@ def trace_operator(j: int, chi: Optional[OFLike] = None,
                             name=name or f"Tr_{j}")
 
 
-def _default_chi(op: BoundaryOperator, nu: OrderFunction,
-                 override: Optional[OFLike] = None) -> OrderFunctionDiff:
-    if override is not None:
-        return as_diff(override)
+def _default_chi(op: BoundaryOperator, nu: OrderFunction) -> OrderFunctionDiff:
     # an operator's attached chi is its nu = 0 target; for shifted systems
     # the row order must follow the shifted trace spaces T_j(mu_D + nu),
     # which is not a constant shift of T_j(mu_D)
@@ -154,9 +151,7 @@ def _default_chi(op: BoundaryOperator, nu: OrderFunction,
 
 
 def build_extended_matrix(bc: Sequence[BoundaryOperator], m: int = 0,
-                          nu: OrderFunction = ZERO_OF,
-                          chis: Optional[Sequence[Optional[OFLike]]] = None,
-                          ) -> MatrixSymbol:
+                          nu: OrderFunction = ZERO_OF) -> MatrixSymbol:
     """Assemble B^(m): rows 1-2 from the boundary coefficients, rows >= 3
     the shifted band (d0+, d1+, -1) of D+.
 
@@ -185,10 +180,8 @@ def build_extended_matrix(bc: Sequence[BoundaryOperator], m: int = 0,
         rows.append(tuple(row))
     col_orders = tuple(as_diff(trace_order_function(MU_D + nu, j))
                        for j in range(size))
-    if chis is None:
-        chis = (None, None)
     row_orders = tuple(
-        [of_neg(_default_chi(op, nu, ov)) for op, ov in zip(bc, chis)]
+        [of_neg(_default_chi(op, nu)) for op in bc]
         + [of_neg(trace_order_function(MU_MINUS + nu, i)) for i in range(size - 2)])
     return MatrixSymbol(tuple(rows), row_orders=row_orders, col_orders=col_orders)
 
@@ -200,8 +193,6 @@ def lopatinskii_check(B: MatrixSymbol, grid: GridSpec = GridSpec()) -> dict:
 
 
 def complementing_check(bc: Sequence[BoundaryOperator],
-                        chi1: Optional[OFLike] = None,
-                        chi2: Optional[OFLike] = None,
                         nu: OrderFunction = ZERO_OF,
                         m: Optional[int] = None,
                         grid: GridSpec = GridSpec()) -> dict:
@@ -212,7 +203,7 @@ def complementing_check(bc: Sequence[BoundaryOperator],
         if m != nu.ord or m < 0:
             raise ValueError("ord nu must be a nonnegative integer "
                              "(or pass m explicitly)")
-    B = build_extended_matrix(ops, m=m, nu=nu, chis=(chi1, chi2))
+    B = build_extended_matrix(ops, m=m, nu=nu)
     out = mixed_order_certify(B, grid=grid)
     out["matrix"] = B
     out["lopatinskii"] = out.pop("invertibility")

@@ -70,7 +70,6 @@ from .polygons import (
 from .spectral import (
     TorusGrid,
     norm_table,
-    project_oscillatory,
     random_band_limited_field,
     system_residual,
     system_solve,
@@ -454,8 +453,7 @@ def _solve_whole(cfg):
     kwargs = _grid_kwargs(cfg, _TORUS_KEYS)
     grid = TorusGrid(**kwargs)
     seed = int(cfg["seed"])
-    u_star = tuple(project_oscillatory(
-        random_band_limited_field(grid, seed=seed + i)) for i in range(2))
+    u_star = tuple(random_band_limited_field(grid, seed=seed + i) for i in range(2))
     # one evaluation of L makes f, solves and takes the residual; f stays in
     # coefficients, and u's norms come from the residual's transform of u
     vals = system_values(chg_matrix(grid.n), grid)

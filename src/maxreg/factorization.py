@@ -115,14 +115,11 @@ def roots(tau, xi_prime_norm) -> RootQuadruple:
 
 @dataclass(frozen=True)
 class FactorCoeffs:
-    """D+/- = d2 (i xi_n)^2 + d1 (i xi_n) + d0 with d2 = -1."""
+    """D+ = -(i xi_n)^2 + d1_plus (i xi_n) + d0_plus.  D- is its mirror
+    (rho_j^- = -rho_j^+): -(i xi_n)^2 - d1_plus (i xi_n) + d0_plus."""
 
     d0_plus: np.ndarray
     d1_plus: np.ndarray
-    d0_minus: np.ndarray
-    d1_minus: np.ndarray
-    d2_plus: complex = -1.0
-    d2_minus: complex = -1.0
 
 
 def dplus_coeffs(tau, xi_prime_norm) -> FactorCoeffs:
@@ -130,8 +127,6 @@ def dplus_coeffs(tau, xi_prime_norm) -> FactorCoeffs:
     return FactorCoeffs(
         d0_plus=rq.rho1_plus * rq.rho2_plus,
         d1_plus=1j * (rq.rho1_plus + rq.rho2_plus),
-        d0_minus=rq.rho1_minus * rq.rho2_minus,
-        d1_minus=1j * (rq.rho1_minus + rq.rho2_minus),
     )
 
 
@@ -162,14 +157,14 @@ def z_func(tau):
     return -1j * tau - np.sqrt(-tau.astype(complex) ** 2 - 4j * tau)
 
 
-def factor_residual(grid: GridSpec = GridSpec(), xi_n_values=None) -> float:
-    """max over the grid of |D - D+ D-| / (1 + |D|)."""
-    if xi_n_values is None:
-        xi_n_values = np.concatenate([[0.0], np.logspace(-2, 2, 17)])
-        xi_n_values = np.concatenate([-xi_n_values[::-1], xi_n_values])
+def factor_residual(grid: GridSpec = GridSpec()) -> float:
+    """max over the grid of |D - D+ D-| / (1 + |D|), at xi_n = 0 and
+    +-10^(-2..2)."""
+    xi_n_values = np.concatenate([[0.0], np.logspace(-2, 2, 17)])
+    xi_n_values = np.concatenate([-xi_n_values[::-1], xi_n_values])
     tau, xip = mesh_axes(grid)
     tau, xip = tau[..., None], xip[..., None]
-    xin = np.asarray(xi_n_values)[None, None, :]
+    xin = xi_n_values[None, None, :]
     rq = roots(tau, xip)
     prod = ((xin - rq.rho1_minus) * (xin - rq.rho2_minus)
             * (xin - rq.rho1_plus) * (xin - rq.rho2_plus))

@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .boundary import _default_chi, dirichlet_pair, neumann_pair_13
 from .factorization import (
@@ -472,23 +473,24 @@ def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def derivative_matrix(nn: int, h: float, order: int) -> np.ndarray:
-    """Dense differentiation matrix of the given order, 4th-order accurate."""
-    npts = order + 4 + (order + 4) % 2 - 1  # odd stencil size
-    npts = min(npts, nn)
+    """The 4th-order differentiation matrix of the given order on nn samples
+    spaced h, as its npts distinct rows W (npts, npts).
+
+    Sample i is differentiated on the window lo .. lo + npts - 1 with
+    lo = clip(i - npts // 2, 0, nn - npts), by the row W[i - lo]: every
+    interior sample takes the centred row W[npts // 2]."""
+    npts = min(order + 4 + (order + 4) % 2 - 1, nn)  # odd stencil size
+    return np.stack([fd_weights((np.arange(npts) - r) * h, 0.0, order)[:, order]
+                     for r in range(npts)])
+
+
+def _differentiate(cols: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The matrix held as W (derivative_matrix) applied along the last axis of cols."""
+    npts = len(W)
     half = npts // 2
-    D = np.zeros((nn, nn))
-    x = np.arange(nn, dtype=float) * h
-    for i in range(nn):
-        lo = min(max(i - half, 0), nn - npts)
-        w = fd_weights(x[lo:lo + npts], x[i], order)[:, order]
-        D[i, lo:lo + npts] = w
-    return D
-
-
-def _rows_times(cols: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """D applied to each row of the complex cols, real and imaginary parts
-    apart: a complex copy of the dense real D would double its memory."""
-    return cols.real @ D.T + 1j * (cols.imag @ D.T)
+    return np.concatenate([cols[..., :npts] @ W[:half].T,
+                           sliding_window_view(cols, npts, axis=-1) @ W[half],
+                           cols[..., -npts:] @ W[half + 1:].T], axis=-1)
 
 
 def _simpson(y: np.ndarray, h: float) -> np.ndarray:
@@ -514,7 +516,7 @@ def apply_poly_operator(f: HalfField, coeff_fn: Callable) -> HalfField:
     coeff_fn(tau, xi_prime_norm), called once on the column_mesh arrays,
     returns the coefficient list (c_0, c_1, ...), each an array over the
     live columns or a scalar.  Exponential-sum parts are differentiated
-    exactly; sampled parts use the 4th-order finite-difference matrices.
+    exactly; sampled parts use the 4th-order stencils of derivative_matrix.
     """
     grid = f.grid
     index, tau, xi = grid.column_mesh()
@@ -524,7 +526,7 @@ def apply_poly_operator(f: HalfField, coeff_fn: Callable) -> HalfField:
         acc = coeffs[0][..., None] * cols
         for j in range(1, len(coeffs)):
             if np.any(coeffs[j]):
-                acc = acc + coeffs[j][..., None] * _rows_times(
+                acc = acc + coeffs[j][..., None] * _differentiate(
                     cols, derivative_matrix(grid.Nn, grid.h, j))
         cols = acc
     coef = coeffs[0][..., None, None] * f.coef
@@ -542,10 +544,11 @@ def apply_symbol(f: HalfField, sym) -> HalfField:
 
 
 def apply_dminus(f: HalfField) -> HalfField:
-    """Forward op[D-] = d2 d^2/dx^2 + d1 d/dx + d0 (factorization.dplus_coeffs)."""
+    """Forward op[D-] = -d^2/dx^2 - d1_plus d/dx + d0_plus, the mirror of
+    op[D+] (factorization.FactorCoeffs)."""
     def coeffs(tau, xi):
         fc = dplus_coeffs(tau, xi)
-        return (fc.d0_minus, fc.d1_minus, fc.d2_minus)
+        return (fc.d0_plus, -fc.d1_plus, -1.0)
     return apply_poly_operator(f, coeffs)
 
 
@@ -602,13 +605,13 @@ def weight_factors(mu: OFLike) -> list[tuple[float, int]]:
 
 def _weighted(cols, rho, coef, tau, xi, factors, d1):
     """Apply the weight factors to the columns at (tau, xi): the samples
-    cols (unless None) through the first-derivative matrix d1, the exact
-    part (rho, coef) exactly; returns (cols, coef)."""
+    cols (unless None) through the first-derivative stencils d1
+    (derivative_matrix), the exact part (rho, coef) exactly; returns (cols, coef)."""
     for half_y, e in factors:
         a = (1.0 + tau * tau) ** half_y + np.sqrt(1.0 + xi * xi)
         for _ in range(e):
             if cols is not None:
-                cols = a[:, None] * cols - _rows_times(cols, d1)
+                cols = a[:, None] * cols - _differentiate(cols, d1)
             coef = a[:, None, None] * coef - _derivative(rho, coef)
     return cols, coef
 
@@ -624,7 +627,7 @@ def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
     """|| op[omega_mu^-]^+ u ||_{L^2(G_+)} via the elementary decomposition.
 
     Exponential-sum columns are integrated in closed form; a column holding
-    samples is weighted with the 4th-order first-derivative matrix and
+    samples is weighted with the 4th-order first-derivative stencils and
     integrated by Simpson's rule.
     """
     grid = u.grid

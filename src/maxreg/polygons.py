@@ -83,18 +83,6 @@ class NewtonPolygon:
         if self.vertices[0] != _ORIGIN:
             raise ValueError("canonical vertex list must start at (0,0)")
 
-    @property
-    def nondegenerate(self) -> bool:
-        return len(self.vertices) >= 3
-
-    @property
-    def xi_degree(self) -> Fraction:
-        return max(v.r for v in self.vertices)
-
-    @property
-    def tau_degree(self) -> Fraction:
-        return max(v.s for v in self.vertices)
-
     def upper_chain(self) -> list[QPoint]:
         """Non-origin vertices in CCW order (from the xi-axis up to the s-axis)."""
         return [v for v in self.vertices if v != _ORIGIN]

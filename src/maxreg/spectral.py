@@ -67,9 +67,6 @@ class TorusGrid:
     def xi_axis(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.N, d=self.Lx / self.N)
 
-    def x_axis(self) -> np.ndarray:
-        return np.arange(self.N) * (self.Lx / self.N)
-
     def xi_components(self) -> list[np.ndarray]:
         """Spatial frequency meshes, each broadcastable over the data shape."""
         ax = self.xi_axis()
@@ -147,23 +144,19 @@ def mode_field(grid: TorusGrid, k: int, xi_index, amplitude=1.0) -> Field:
     return Field.from_coefficients(grid, coeffs, oscillatory=(k != 0))
 
 
-def random_band_limited_field(grid: TorusGrid, seed: int = 0,
-                              k_width: Optional[float] = None,
-                              xi_width: Optional[float] = None,
-                              oscillatory: bool = True) -> Field:
-    """Random smooth field whose spectrum decays below 1e-12 at the edges."""
+def random_band_limited_field(grid: TorusGrid, seed: int = 0) -> Field:
+    """Random smooth oscillatory field (zero k = 0 slab) whose spectrum
+    decays below 1e-12 at the edges."""
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    k_width = k_width or max(1.0, grid.K / 6.0)
-    xi_max = np.abs(grid.xi_axis()).max()
-    xi_width = xi_width or xi_max / 6.0
+    k_width = max(1.0, grid.K / 6.0)
+    xi_width = np.abs(grid.xi_axis()).max() / 6.0
     envelope = np.exp(-(grid.tau_mesh() / (grid.omega * k_width)) ** 2
                       - (grid.xi_norm_mesh() / xi_width) ** 2)
     coeffs = coeffs * envelope
     coeffs[np.abs(envelope) < 1e-14] = 0.0
-    if oscillatory:
-        coeffs[grid.K] = 0.0
-    return Field.from_coefficients(grid, coeffs, oscillatory=oscillatory)
+    coeffs[grid.K] = 0.0
+    return Field.from_coefficients(grid, coeffs, oscillatory=True)
 
 
 def project_oscillatory(f: Field) -> Field:

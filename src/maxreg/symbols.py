@@ -492,17 +492,22 @@ def _ray_decay_witness(tau, xi, ratio, grid: GridSpec) -> list:
             for x, sl, v, ok in zip(xi[0], slopes, vals[-1], positive)]
 
 
-def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec(),
-                        floor: float = 1e-8, slope_tol: float = 0.05,
-                        decay_ratio_max: float = 0.2) -> dict:
+# mixed_order_certify: the determinant's ellipticity floor, and the slope and
+# edge ratio below which a decay witness counts as a failure
+MIXED_ORDER_FLOOR = 1e-8
+DECAY_SLOPE_TOL = 0.05
+DECAY_RATIO_MAX = 0.2
+
+
+def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec()) -> dict:
     """Certify M as a mixed-order system (Def. of the complementing machinery).
 
     Every entry must be bounded by W_{s_i+t_j}; the determinant must be
     N-elliptic for delta = sum(s_k + t_k).  Failure of the determinant is
     reported with a witness ray along which |det|/W_delta decays.  A decay
     witness counts as a failure only when the ratio both trends down
-    (fitted slope below -slope_tol) and has already fallen under
-    decay_ratio_max at the grid edge; this separates genuine power-law
+    (fitted slope below -DECAY_SLOPE_TOL) and has already fallen under
+    DECAY_RATIO_MAX at the grid edge; this separates genuine power-law
     decay from a benign crossover between growth regimes, where the ratio
     dips but stays order one.  Every report, and the pointwise
     invertibility of M, comes from one evaluation of M on the mesh.
@@ -518,10 +523,10 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec(),
             entry_reports[f"{i},{j}"] = _upper_report(tau, xi, ratio, grid)
     delta = M.delta()
     ratio = abs_det / weight(delta)
-    det_rep = _ellipticity_report(tau, xi, ratio, grid, floor)
+    det_rep = _ellipticity_report(tau, xi, ratio, grid, MIXED_ORDER_FLOOR)
     rays = _ray_decay_witness(tau, xi, ratio, grid)
     failing = [r for r in rays
-               if r["slope"] < -slope_tol and r["ratio_at_end"] < decay_ratio_max]
+               if r["slope"] < -DECAY_SLOPE_TOL and r["ratio_at_end"] < DECAY_RATIO_MAX]
     if failing:
         # the most-decayed ray is the clearest witness; near-ties resolve
         # to the smallest |xi| so degenerate rays are reported canonically

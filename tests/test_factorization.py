@@ -84,7 +84,8 @@ def test_factor_coeffs_match_root_products():
     ixn = 1j * xin
     dplus_poly = -ixn ** 2 + fc.d1_plus * ixn + fc.d0_plus
     assert np.allclose(dplus_poly, d_plus_eval(tau, xip, xin), atol=1e-8)
-    dminus_poly = -ixn ** 2 + fc.d1_minus * ixn + fc.d0_minus
+    # D- is the mirror of D+: its coefficients are (d0_plus, -d1_plus, -1)
+    dminus_poly = -ixn ** 2 - fc.d1_plus * ixn + fc.d0_plus
     assert np.allclose(dminus_poly, d_minus_eval(tau, xip, xin), atol=1e-8)
 
 

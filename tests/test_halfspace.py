@@ -1,5 +1,7 @@
 """Tests for the half-space resolvents, norms, traces, and solvers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -414,6 +416,61 @@ def test_halfspace_norm_builds_derivative_matrix_only_for_samples():
     assert derivative_matrix.cache_info().misses == 0
     halfspace_norm(u.materialized(), MU_D)
     assert derivative_matrix.cache_info().misses == 1
+
+
+def _window_rows(nn, npts):
+    """(lo, r) of every sample: its window start and its row of the compact matrix."""
+    lo = np.clip(np.arange(nn) - npts // 2, 0, nn - npts)
+    return lo, np.arange(nn) - lo
+
+
+@pytest.mark.parametrize("nn", [64, 1024])
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_matrix_exact_on_polynomials(order, nn):
+    """Every row, edge rows included, differentiates x^p exactly for p < npts."""
+    h = 0.03
+    W = derivative_matrix(nn, h, order)
+    npts = len(W)
+    x = np.arange(nn) * h
+    row_sums = np.abs(W).sum(axis=1)[_window_rows(nn, npts)[1]]
+    for p in range(npts):
+        f = x ** p
+        exact = (math.factorial(p) / math.factorial(p - order) * x ** (p - order)
+                 if p >= order else np.zeros(nn))
+        err = np.abs(halfspace._differentiate(f, W) - exact)
+        assert np.all(err <= 16 * np.finfo(float).eps * row_sums * np.abs(f).max())
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_matrix_matches_dense_rows(order):
+    """The compact form acts as the dense matrix built one Fornberg row at a time."""
+    nn, h = 200, 0.03
+    W = derivative_matrix(nn, h, order)
+    npts = len(W)
+    x = np.arange(nn) * h
+    D = np.zeros((nn, nn))
+    for i, lo in enumerate(_window_rows(nn, npts)[0]):
+        D[i, lo:lo + npts] = halfspace.fd_weights(x[lo:lo + npts], x[i], order)[:, order]
+    rng = np.random.default_rng(order)
+    cols = rng.normal(size=(3, 2, nn)) + 1j * rng.normal(size=(3, 2, nn))
+    dense = cols @ D.T
+    assert np.abs(halfspace._differentiate(cols, W) - dense).max() < 1e-12 * np.abs(dense).max()
+
+
+def test_derivative_matrix_is_compact(monkeypatch):
+    """npts rows from npts Fornberg solves, whatever the number of samples."""
+    calls, fd_weights = [], halfspace.fd_weights
+
+    def counted(*args):
+        calls.append(args)
+        return fd_weights(*args)
+
+    monkeypatch.setattr(halfspace, "fd_weights", counted)
+    derivative_matrix.cache_clear()
+    W = derivative_matrix(1024, 0.03, 1)
+    derivative_matrix.cache_clear()
+    assert W.shape == (5, 5)
+    assert len(calls) == 5
 
 
 def test_halfspace_norm_sampled_matches_exact():
