@@ -94,7 +94,8 @@ _GRIDSPEC_KEYS = ("tau_max", "n_tau", "xi_min", "xi_max", "n_xi", "n_dirs")
 
 
 def parse_grid(text):
-    """'K=32,Nn=256' -> {'K': 32, 'Nn': 256} (ints where possible)."""
+    """'K=32,Nn=256' -> {'K': 32, 'Nn': 256} (ints where possible); a value
+    that is not a finite number is an error."""
     out = {}
     if not text:
         return out
@@ -103,11 +104,11 @@ def parse_grid(text):
             raise CliError(f"bad grid entry {item!r}: expected key=value")
         key, _, val = item.partition("=")
         key = key.strip()
-        try:
+        try:  # int() of inf or nan raises
             num = float(val)
-        except ValueError:
+            out[key] = int(num) if num == int(num) and key != "T" else num
+        except (ValueError, OverflowError):
             raise CliError(f"bad grid value {val!r} for {key!r}")
-        out[key] = int(num) if num == int(num) and key != "T" else num
     return out
 
 
@@ -154,8 +155,7 @@ def _grid_kwargs(cfg, allowed):
 
 
 def _grid_spec(cfg):
-    kwargs = {k: v for k, v in (cfg.get("grid") or {}).items()
-              if k in _GRIDSPEC_KEYS}
+    kwargs = _grid_kwargs(cfg, _GRIDSPEC_KEYS)
     return GridSpec(lam=float(cfg["lambda"]), seed=int(cfg["seed"]), **kwargs)
 
 
@@ -424,10 +424,11 @@ def cmd_chg(cfg):
     poly = d_symbol().newton_polygon()
     mu = order_function_of(poly)
     grid = _grid_spec(cfg)
-    max_res = factor_residual(grid)
-    fc = dplus_coeffs(1.0, 1.0)
+    # certified first: it names the first mesh point where D overflows
     ell = ellipticity_certify(d_symbol(), MU_D, lam=float(cfg["lambda"]),
                               grid=grid)
+    max_res = factor_residual(grid)
+    fc = dplus_coeffs(1.0, 1.0)
     data = {
         "polygon_vertices": poly.to_jsonable()["vertices"],
         "mu_D": _of_jsonable(mu),

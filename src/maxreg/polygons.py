@@ -417,11 +417,19 @@ def _vertex_terms(mu: OrderFunction) -> list[tuple[float, float]]:
 
 
 def _weight_positive(mu: OrderFunction, tau, xi_norm):
-    tau = np.abs(np.asarray(tau, dtype=float))
+    """1 + sum over vertices |tau|^s |xi|^r; FloatingPointError naming the
+    (tau, |xi|) of the first non-finite value, in row-major order."""
+    tau = np.asarray(tau, dtype=float)
     xi = np.asarray(xi_norm, dtype=float)
     acc = np.ones(np.broadcast(tau, xi).shape)
-    for r, s in _vertex_terms(mu):
-        acc = acc + tau ** s * xi ** r
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        for r, s in _vertex_terms(mu):
+            acc = acc + np.abs(tau) ** s * xi ** r
+    bad = ~np.isfinite(acc)
+    if bad.any():
+        k = tuple(np.argwhere(bad)[0])
+        t, x = (float(np.broadcast_to(v, acc.shape)[k]) for v in (tau, xi))
+        raise FloatingPointError(f"weight not finite at tau={t}, |xi|={x}")
     return acc
 
 

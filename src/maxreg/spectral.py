@@ -148,12 +148,13 @@ def random_band_limited_field(grid: TorusGrid, seed: int = 0) -> Field:
     """Random smooth oscillatory field (zero k = 0 slab) whose spectrum
     decays below 1e-12 at the edges."""
     rng = np.random.default_rng(seed)
-    coeffs = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    coeffs = np.empty(grid.shape, complex)
+    coeffs.real, coeffs.imag = rng.normal(size=(2,) + grid.shape)
     k_width = max(1.0, grid.K / 6.0)
     xi_width = np.abs(grid.xi_axis()).max() / 6.0
     envelope = np.exp(-(grid.tau_mesh() / (grid.omega * k_width)) ** 2
                       - (grid.xi_norm_mesh() / xi_width) ** 2)
-    coeffs = coeffs * envelope
+    coeffs *= envelope
     coeffs[np.abs(envelope) < 1e-14] = 0.0
     coeffs[grid.K] = 0.0
     return Field.from_coefficients(grid, coeffs, oscillatory=True)
@@ -166,27 +167,27 @@ def project_oscillatory(f: Field) -> Field:
 
 
 def _symbol_values(m, grid: TorusGrid, oscillatory: bool) -> np.ndarray:
-    """Evaluate a symbol over the live (tau_k, xi) mesh; k=0 slab set to 0."""
+    """A symbol on the live (tau_k, xi) mesh, at the broadcast shape of the
+    variables it uses (a constant is 0-d); the k=0 slab is set to 0 when
+    the values have a k axis (oscillatory coefficients vanish there)."""
     m = as_symbol(m)
     tau = grid.tau_mesh()
     if oscillatory:
         # mask tau=0 during evaluation; its slab is projected away anyway
         tau = np.where(tau == 0, grid.omega, tau)
-    if m.radial:
-        vals = np.asarray(m(tau, grid.xi_norm_mesh()), dtype=complex)
-    else:
-        vals = np.asarray(m(tau, grid.xi_components()), dtype=complex)
-    vals = np.broadcast_to(vals, grid.shape).copy()
-    if oscillatory:
+    xi = grid.xi_norm_mesh() if m.radial else grid.xi_components()
+    vals = np.asarray(m(tau, xi), dtype=complex)
+    if oscillatory and vals.ndim == len(grid.shape) and vals.shape[0] > 1:
+        vals = vals.copy()
         vals[grid.K] = 0.0
     _require_finite(vals, grid)
     return vals
 
 
 def _require_finite(vals: np.ndarray, grid: TorusGrid) -> None:
-    """Raise at the first non-finite value on the (k, xi) mesh."""
+    """Raise at the first non-finite value of vals broadcast to the mesh."""
     if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
+        bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, grid.shape)))[0]
         raise FloatingPointError(
             f"symbol not finite at k={bad[0] - grid.K}, grid index {tuple(bad[1:])}")
 
@@ -243,7 +244,9 @@ class SolveResult:
 
 
 def _invert_values(vals: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """1/vals on the live modes and 0 on the k=0 slab, in place of vals."""
+    """1/vals on the live modes and 0 on the k=0 slab, in place of a full vals."""
+    if vals.shape != grid.shape:
+        vals = np.broadcast_to(vals, grid.shape).copy()
     zero = vals == 0
     zero[grid.K] = False
     if zero.any():
@@ -275,45 +278,35 @@ def solve_whole_scalar(P, f: Field, mu: Optional[OFLike] = None,
     return SolveResult(u=u, diagnostics=diag)
 
 
-def system_values(L: MatrixSymbol, grid: TorusGrid) -> np.ndarray:
-    """L's entries on the live (tau_k, xi) mesh as a (..., m, m) stack, each
-    distinct entry object evaluated once; the k=0 slab is set to 0."""
-    out = np.empty((L.m, L.m) + grid.shape, complex)
-    first = {}
-    for i, row in enumerate(L.entries):
-        for j, e in enumerate(row):
-            if id(e) in first:
-                out[i, j] = out[first[id(e)]]
-            else:
-                out[i, j] = _symbol_values(e, grid, oscillatory=True)
-                first[id(e)] = (i, j)
-    return np.moveaxis(out, (0, 1), (-2, -1))
+def system_values(L: MatrixSymbol, grid: TorusGrid) -> tuple:
+    """L's entry rows vals[i][j] on the live mesh, each at its own broadcast
+    shape (_symbol_values) and each distinct entry object evaluated once."""
+    return L.entry_rows(lambda e: _symbol_values(e, grid, oscillatory=True))
 
 
-def system_times(vals: np.ndarray, coeffs: Sequence[np.ndarray]):
-    """The coefficients of op[L] u from L's values (system_values) and the
-    coefficients of u, made row by row as they are taken."""
+def system_times(vals: Sequence, coeffs: Sequence[np.ndarray]):
+    """The coefficients of op[L] u from L's entry rows (system_values) and
+    the coefficients of u, made row by row as they are taken."""
     def row(i):
-        acc = vals[..., i, 0] * coeffs[0]
+        acc = vals[i][0] * coeffs[0]
         for j in range(1, len(coeffs)):
-            acc += vals[..., i, j] * coeffs[j]
+            acc += vals[i][j] * coeffs[j]
         return acc
-    return (row(i) for i in range(vals.shape[-1]))
+    return (row(i) for i in range(len(vals)))
 
 
-def _adjugate_times(vals: np.ndarray, coeffs: Sequence[np.ndarray]):
+def _adjugate_times(vals: Sequence, coeffs: Sequence[np.ndarray]):
     """The rows of op[ad L] f, (ad L)_ij = (-1)^(i+j) det L^(ji), from L's
-    values, made row by row as they are taken; the minors of a 2x2 system
-    are its entries."""
-    m = vals.shape[-1]
+    entry rows, made row by row as they are taken; the minors of a 2x2
+    system are its entries."""
+    m = len(vals)
 
     def row(i):
         acc = None
         for j in range(m):
-            keep_r = [r for r in range(m) if r != j]
-            keep_c = [c for c in range(m) if c != i]
-            minor = (vals[..., keep_r[0], keep_c[0]] if m == 2
-                     else det_values(vals[..., keep_r, :][..., keep_c]))
+            sub = [[v for c, v in enumerate(r) if c != i]
+                   for k, r in enumerate(vals) if k != j]
+            minor = sub[0][0] if m == 2 else det_values(sub)
             if acc is None:
                 acc = minor * coeffs[j]
                 if (i + j) % 2:
@@ -328,10 +321,10 @@ def _adjugate_times(vals: np.ndarray, coeffs: Sequence[np.ndarray]):
     return (row(i) for i in range(m))
 
 
-def system_solve(vals: np.ndarray, fc: Sequence[np.ndarray],
+def system_solve(vals: Sequence, fc: Sequence[np.ndarray],
                  grid: TorusGrid) -> tuple:
     """u = op[ad L] op[1/det L] f as fields, frequency by frequency, from L's
-    values and the coefficients of f."""
+    entry rows and the coefficients of f."""
     det = det_values(vals)
     _require_finite(det, grid)
     inv = _invert_values(det, grid)
@@ -351,7 +344,7 @@ def _distance_sq(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(np.abs(a) ** 2))
 
 
-def system_residual(vals: np.ndarray, u: Sequence[Field],
+def system_residual(vals: Sequence, u: Sequence[Field],
                     fc: Sequence[np.ndarray]) -> tuple:
     """(||op[L] u - f|| / ||f||, the coefficients of u) on the discrete basis,
     from one transform of each returned u_j; one row of op[L] u is held at

@@ -9,6 +9,7 @@ the reported constants are grid-relative evidence, not proofs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -62,24 +63,21 @@ class PolySymbol:
         return polygon_from_exponents(self.exponent_set())
 
     def __call__(self, tau, xi):
+        """P at (tau, xi), at the broadcast shape of the variables its
+        monomials use: a constant is 0-d and i tau keeps tau's shape.
+        Callers that need the full mesh broadcast the result."""
         tau = np.asarray(tau)
+        comps = [np.asarray(xi)] if self.radial else [np.asarray(c) for c in xi]
+        if not self.radial and len(comps) != self.n:
+            raise ValueError(f"expected {self.n} xi components")
         acc = 0
-        if self.radial:
-            xin = np.asarray(xi)
-            shape = np.broadcast(tau, xin).shape
-            for coeff, i, a in self.monomials:
-                acc = acc + coeff * tau ** i * xin ** a
-        else:
-            comps = [np.asarray(c) for c in xi]
-            if len(comps) != self.n:
-                raise ValueError(f"expected {self.n} xi components")
-            shape = np.broadcast(tau, *comps).shape
-            for coeff, i, alpha in self.monomials:
-                term = coeff * tau ** i
-                for c, a in zip(comps, alpha):
-                    term = term * c ** a
-                acc = acc + term
-        return np.asarray(acc, dtype=complex) + np.zeros(shape, dtype=complex)
+        for coeff, i, alpha in self.monomials:
+            term = coeff
+            for x, p in zip([tau] + comps, (i, alpha) if self.radial else (i, *alpha)):
+                if p:  # a factor of power 0 is 1
+                    term = term * x ** p
+            acc = acc + term
+        return np.asarray(acc, dtype=complex)
 
     def __mul__(self, other: "PolySymbol") -> "PolySymbol":
         if self.radial != other.radial or self.n != other.n:
@@ -167,7 +165,7 @@ def as_symbol(sym, order: Optional[OFLike] = None) -> SymbolFn:
                         order=None if order is None else as_diff(order))
     if isinstance(sym, (int, float, complex)):
         c = complex(sym)
-        return SymbolFn(fn=lambda tau, xi, c=c: c + 0.0 * np.asarray(tau, dtype=complex),
+        return SymbolFn(fn=lambda tau, xi, c=c: np.asarray(c),  # 0-d
                         order=None if order is None else as_diff(order),
                         name=str(sym))
     raise TypeError(f"cannot interpret {sym!r} as a symbol")
@@ -190,21 +188,17 @@ class MatrixSymbol:
     def m(self) -> int:
         return len(self.entries)
 
-    def evaluate(self, tau, xi) -> np.ndarray:
-        """Stack entry values: result shape (..., m, m).  An entry object
-        that sits in several places is evaluated once.  The result is a
-        view of an (m, m, ...) array, so each entry's values are contiguous."""
-        vals = {}
-        for row in self.entries:
-            for e in row:
-                if id(e) not in vals:
-                    vals[id(e)] = np.asarray(e(tau, xi), dtype=complex)
-        shape = np.broadcast(*vals.values()).shape
-        out = np.empty((self.m, self.m) + shape, dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = vals[id(e)]
-        return np.moveaxis(out, (0, 1), (-2, -1))
+    def entry_rows(self, value) -> tuple:
+        """value(e) over the entry rows, taken once per distinct entry object."""
+        distinct = {id(e): e for row in self.entries for e in row}
+        vals = {k: value(e) for k, e in distinct.items()}
+        return tuple(tuple(vals[id(e)] for e in row) for row in self.entries)
+
+    def evaluate(self, tau, xi) -> tuple:
+        """The entry rows, vals[i][j] = M_ij(tau, xi), each at its own
+        broadcast shape (a constant is 0-d); an entry object that sits in
+        several places is evaluated once."""
+        return self.entry_rows(lambda e: np.asarray(e(tau, xi), dtype=complex))
 
     def delta(self) -> Optional[OrderFunctionDiff]:
         """delta = sum_k (s_k + t_k), the order function of the determinant."""
@@ -223,45 +217,53 @@ _LAPLACE_4 = (((0, 1), (2, 3), 1), ((0, 2), (1, 3), -1), ((0, 3), (1, 2), 1),
               ((1, 2), (0, 3), 1), ((1, 3), (0, 2), -1), ((2, 3), (0, 1), 1))
 
 
-def det_values(a: np.ndarray) -> np.ndarray:
-    """Determinants of a (..., m, m) stack, as a new array of shape (...).
+def _is_zero(v) -> bool:  # None stands for an exact zero too
+    return v is None or (np.ndim(v) == 0 and v == 0)
+
+
+def _signed_sum(terms):
+    """The sum of sign * a * b over the (sign, a, b), in order, skipping each
+    product with a 0-d exact zero factor; b may be a function that gives
+    it, called only when a is not such a zero.  None if nothing is left."""
+    out = None
+    for sign, a, b in terms:
+        if not (_is_zero(a) or _is_zero(b := b() if callable(b) else b)):
+            v = a * b if sign > 0 else -(a * b)
+            out = v if out is None else out + v
+    return out
+
+
+def det_values(rows) -> np.ndarray:
+    """Determinants from a matrix's entry rows (MatrixSymbol.evaluate), as a
+    new array at the broadcast shape of the entries it uses.
 
     Up to m = 4 this is whole-array arithmetic on the entries: the entry,
     ad - bc, the first-row expansion, and for m = 4 the Laplace expansion
-    along the first two rows (six products of complementary 2x2 minors).
-    Larger stacks go to LAPACK (np.linalg.det).
+    along the first two rows (six products of complementary 2x2 minors),
+    skipping each product with a 0-d exact zero factor and the minor it
+    multiplies.  Larger matrices are stacked for LAPACK (np.linalg.det).
     """
-    m = a.shape[-1]
-    if not 1 <= m <= 4:
-        return np.linalg.det(a)
-
-    def e(i, j):
-        return a[..., i, j]
+    m = len(rows)
+    if m > 4:
+        flat = np.broadcast_arrays(*(v for row in rows for v in row))
+        return np.linalg.det(np.stack(flat, axis=-1).reshape(flat[0].shape + (m, m)))
 
     def minor2(r, c):  # the 2x2 minor on rows r, columns c
-        out = e(r[0], c[0]) * e(r[1], c[1])
-        out -= e(r[0], c[1]) * e(r[1], c[0])
-        return out
+        return _signed_sum(((1, rows[r[0]][c[0]], rows[r[1]][c[1]]),
+                            (-1, rows[r[0]][c[1]], rows[r[1]][c[0]])))
     if m == 1:
-        return e(0, 0).copy()
-    if m == 2:
-        return minor2((0, 1), (0, 1))
-    if m == 3:
-        out = e(0, 0) * minor2((1, 2), (1, 2))
-        out -= e(0, 1) * minor2((1, 2), (0, 2))
-        out += e(0, 2) * minor2((1, 2), (0, 1))
-        return out
-    out = None
-    for top, bottom, sign in _LAPLACE_4:
-        term = minor2((0, 1), top)
-        term *= minor2((2, 3), bottom)
-        if out is None:
-            out = term
-        elif sign > 0:
-            out += term
-        else:
-            out -= term
-    return out
+        out = np.array(rows[0][0], dtype=complex)
+    elif m == 2:
+        out = minor2((0, 1), (0, 1))
+    elif m == 3:  # along the first row
+        out = _signed_sum((1 - 2 * (j % 2), rows[0][j],
+                           lambda j=j: minor2((1, 2), [c for c in range(3) if c != j]))
+                          for j in range(3))
+    else:  # along the first two rows
+        out = _signed_sum((sign, minor2((0, 1), top),
+                           lambda bottom=bottom: minor2((2, 3), bottom))
+                          for top, bottom, sign in _LAPLACE_4)
+    return np.zeros((), complex) if out is None else np.asarray(out)
 
 
 def det(M: MatrixSymbol) -> SymbolFn:
@@ -328,6 +330,17 @@ class GridSpec:
     n_dirs: int = 8  # random xi directions per radius for non-radial symbols
     seed: int = 0
 
+    def __post_init__(self):
+        for name, least in (("n_tau", 1), ("n_xi", 0), ("n_dirs", 0)):
+            if not isinstance(value := getattr(self, name), numbers.Integral) or value < least:
+                raise ValueError(f"grid size {name} must be an integer >= {least}, "
+                                 f"got {value!r}")
+        for name in ("lam", "tau_max", "xi_min", "xi_max"):
+            if not (isinstance(value := getattr(self, name), numbers.Real)
+                    and 0 < value < math.inf):
+                raise ValueError(f"grid bound {name} must be finite and positive, "
+                                 f"got {value!r}")
+
     def tau_values(self) -> np.ndarray:
         pos = np.logspace(math.log10(self.lam), math.log10(self.tau_max), self.n_tau)
         return np.concatenate([-pos[::-1], pos])
@@ -374,9 +387,11 @@ def _point(tau, xi, idx) -> dict:
 
 
 def _require_finite(vals: np.ndarray, tau: np.ndarray, xi: np.ndarray) -> None:
-    """Raise at the first non-finite value on the mesh, in row-major order."""
+    """Raise at the first non-finite value of vals broadcast to the mesh,
+    in row-major order."""
     bad = ~np.isfinite(vals)
     if bad.any():
+        bad = np.broadcast_to(bad, np.broadcast(tau, xi).shape)
         pt = _point(tau, xi, np.argwhere(bad)[0])
         raise FloatingPointError(
             f"symbol evaluation not finite at tau={pt['tau']}, |xi|={pt['xi']}")
@@ -406,18 +421,20 @@ def _sample_ratio(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):
 
 
 def sample_matrix(M: MatrixSymbol, grid: GridSpec):
-    """(tau axis, |xi| axis, M's values as (..., m, m), |det M|) from one
-    evaluation of M.  Each |M_ij| is checked, entry by entry in row-major
-    order, before the determinant; none of them is kept."""
+    """(tau axis, |xi| axis, M's entry rows, |det M| on the mesh) from one
+    evaluation of M; each entry keeps its own broadcast shape (a constant
+    is 0-d).  Each |M_ij| is checked, entry by entry in row-major order,
+    before the determinant; none of them is kept."""
     if not all(e.radial for row in M.entries for e in row):
         raise ValueError("mixed-order certification needs radial entries")
     tau, xi = mesh_axes(grid)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         vals = M.evaluate(tau, xi)
-        for i in range(M.m):
-            for j in range(M.m):
-                _require_finite(np.abs(vals[..., i, j]), tau, xi)
+        for row in vals:
+            for v in row:
+                _require_finite(np.abs(v), tau, xi)
         abs_det = np.abs(det_values(vals))
+    abs_det = np.broadcast_to(abs_det, np.broadcast(tau, xi).shape)
     _require_finite(abs_det, tau, xi)
     return tau, xi, vals, abs_det
 
@@ -519,7 +536,7 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec()) -> dict:
     entry_reports = {}
     for i, s in enumerate(M.row_orders):
         for j, t in enumerate(M.col_orders):
-            ratio = np.abs(vals[..., i, j]) / weight(of_add(s, t))
+            ratio = np.abs(vals[i][j]) / weight(of_add(s, t))
             entry_reports[f"{i},{j}"] = _upper_report(tau, xi, ratio, grid)
     delta = M.delta()
     ratio = abs_det / weight(delta)

@@ -39,11 +39,18 @@ from maxreg.symbols import (
     PolySymbol,
     det,
     det_values,
+    mesh_axes,
     mixed_order_certify,
     sample_matrix,
 )
 
 O_HALF = o_elem(F(1, 2))
+
+
+def stacked(rows):
+    """Entry rows (MatrixSymbol.evaluate) as one broadcast (..., m, m) array."""
+    flat = np.broadcast_arrays(*(v for row in rows for v in row))
+    return np.stack(flat, axis=-1).reshape(flat[0].shape + (len(rows),) * 2)
 
 
 def _sample_points():
@@ -66,8 +73,35 @@ def test_neumann_matrix_symbolic_match():
         [z, z, z, one],
         [fc.d0_plus, fc.d1_plus, -one, z],
         [z, fc.d0_plus, fc.d1_plus, -one]]), (0, 1), (-2, -1))
-    got = B.evaluate(tau, xip)
+    got = stacked(B.evaluate(tau, xip))
     assert np.abs(got - expect).max() < 1e-12
+
+
+def test_constant_entries_are_0d():
+    """B^(0)'s 12 constant entries evaluate to 0-d values; only d0+ and d1+
+    fill the mesh."""
+    tau, xi = mesh_axes(GridSpec(n_tau=16, n_xi=16))
+    vals = build_extended_matrix(neumann_pair_13()).evaluate(tau, xi)
+    shapes = {(i, j): v.shape for i, row in enumerate(vals) for j, v in enumerate(row)}
+    full = {(2, 0), (2, 1), (3, 1), (3, 2)}
+    assert {k for k, s in shapes.items() if s == (32, 17)} == full
+    assert all(s == () for k, s in shapes.items() if k not in full)
+
+
+@pytest.mark.parametrize("matrix", [
+    lambda: build_extended_matrix(neumann_pair_13()),
+    lambda: build_extended_matrix(dirichlet_pair()),
+    lambda: build_extended_matrix(dirichlet_pair(), m=1, nu=of_const(1)),
+])
+def test_det_values_with_0d_zeros_matches_lapack(matrix):
+    """Rows that mix 0-d exact zeros with mesh-filling entries give LAPACK's
+    determinant of the broadcast stack to 1e-12 relative."""
+    tau, xi = mesh_axes(GridSpec(n_tau=16, n_xi=16))
+    rows = matrix().evaluate(tau, xi)
+    assert any(np.ndim(v) == 0 and v == 0 for row in rows for v in row)
+    ref = np.linalg.det(stacked(rows))
+    got = np.broadcast_to(det_values(rows), ref.shape)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
 
 def test_dirichlet_matrix_symbolic_match():
@@ -95,7 +129,7 @@ def test_band_structure_audit():
         for i in range(3, size + 1):
             for j in range(1, size + 1):
                 expect = dplus.get(j + 2 - i, 0.0)
-                assert got[i - 1, j - 1] == pytest.approx(expect, abs=1e-14)
+                assert got[i - 1][j - 1] == pytest.approx(expect, abs=1e-14)
 
 
 def test_neumann_det_is_minus_d0_d1():

@@ -1,6 +1,7 @@
 """Tests for the command-line driver: exit codes, determinism, formats."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -124,6 +125,25 @@ def test_overflowing_boundary_file_is_one_error_line(capsys, tmp_path):
         {"re": 1e300, "im": 0.0, "i": 2, "r": 0},
         {"re": 1.0, "im": 0.0, "i": 0, "r": 0}]})
     code, out, err = run(capsys, "check", "boundary", path)
+    assert code == 1 and out == ""
+    assert err == "error: symbol evaluation not finite at tau=-1000000.0, |xi|=0.0\n"
+
+
+@pytest.mark.parametrize("coeffs", [
+    {(0, 1): float("inf")},
+    {(0, 1): 1e200, (1, 3): 1e200},  # finite entries, overflowing det
+])
+def test_non_finite_constant_boundary_file_is_one_error_line(capsys, tmp_path,
+                                                             coeffs):
+    """Constant coefficients are evaluated once, 0-d; a non-finite entry or
+    determinant is still reported at the first mesh point."""
+    obj = bc_to_jsonable(neumann_pair_13())
+    for (op, k), c in coeffs.items():
+        obj["ops"][op]["coeffs"][k] = {"poly": {"n": 1, "radial": True, "monomials": [
+            {"re": c, "im": 0.0, "i": 0, "r": 0}]}}
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", "boundary", str(path))
     assert code == 1 and out == ""
     assert err == "error: symbol evaluation not finite at tau=-1000000.0, |xi|=0.0\n"
 
@@ -445,6 +465,44 @@ def test_unknown_grid_key(capsys):
     assert code == 1 and "unknown grid key" in err
 
 
+@pytest.mark.parametrize("key", ["foo", "lam"])
+@pytest.mark.parametrize("argv", [("check", "boundary", "neumann_13"),
+                                  ("check", "ellipticity", "chg-D"),
+                                  ("chg",)])
+def test_unknown_grid_key_in_certifications(capsys, argv, key):
+    """check and chg reject a key that is not a certification-grid field,
+    rather than running on the default grid while the report echoes it."""
+    code, out, err = run(capsys, *argv, "--grid", f"{key}=1")
+    assert code == 1 and out == ""
+    assert err == f"error: unknown grid key(s): {key}\n"
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("check", "boundary", "neumann_13", "--grid", "n_tau=0"), "n_tau"),
+    (("check", "boundary", "neumann_13", "--lambda", "0"), "lam"),
+    (("check", "boundary", "neumann_13", "--grid", "xi_min=0"), "xi_min"),
+    (("check", "boundary", "neumann_13", "--grid", "tau_max=1e400"), "tau_max"),
+    (("check", "ellipticity", "chg-D", "--grid", "n_xi=-3"), "n_xi"),
+    (("check", "mixed-order", "chg-L", "--grid", "n_tau=2.5"), "n_tau"),
+    (("chg", "--grid", "xi_max=nan"), "xi_max"),
+    (("chg", "--lambda", "0"), "lam"),
+    (("check", "boundary", "neumann_13", "--lambda", "inf"), "lam"),
+    (("solve", "whole", "--grid", "T=nan"), "'T'"),
+    (("check", "boundary", "neumann_13", "--grid", "xi_max=1e100"),
+     "weight not finite at tau=-1000000.0, |xi|="),
+    (("chg", "--grid", "xi_max=1e100"),
+     "symbol evaluation not finite at tau=-1000000.0, |xi|="),
+])
+def test_bad_certification_grid_is_one_error_line(capsys, argv, named):
+    """A grid value out of range or not finite is named before any work; a
+    grid on which a symbol or weight overflows names the first mesh point
+    that does."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert named in err
+
+
 def test_csv_table_rendering(capsys):
     code, out, _ = run(capsys, "probe", "--resolutions", "8:64",
                        "--format", "csv")
@@ -452,3 +510,20 @@ def test_csv_table_rendering(capsys):
     lines = out.splitlines()
     assert any(line.startswith("# table rows") for line in lines)
     assert any(line.startswith("# summary") for line in lines)
+
+
+@pytest.mark.parametrize("argv, limit_mib", [
+    (("check", "boundary", "neumann_13", "--grid", "n_tau=256,n_xi=256"), 26),
+    (("solve", "whole", "--grid", "K=32,n=2,N=64"), 48),
+])
+def test_peak_traced_memory(capsys, argv, limit_mib):
+    """Matrix entries keep their own broadcast shape and no (m, m, ...)
+    stack is built: a stack of the 16 entries of B^(0) on the 512 x 257
+    mesh alone takes 32 MiB."""
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < limit_mib * 2 ** 20
