@@ -25,7 +25,15 @@ from .polygons import (
     order_function_of,
     polygon_from_exponents,
 )
-from .symbols import GridSpec, MatrixSymbol, PolySymbol, SymbolFn, as_diff, mesh_axes
+from .symbols import (
+    GridSpec,
+    MatrixSymbol,
+    PolySymbol,
+    SymbolFn,
+    _require_finite,
+    as_diff,
+    mesh_axes,
+)
 
 F = Fraction
 
@@ -163,11 +171,14 @@ def factor_residual(grid: GridSpec = GridSpec()) -> float:
     xi_n_values = np.concatenate([[0.0], np.logspace(-2, 2, 17)])
     xi_n_values = np.concatenate([-xi_n_values[::-1], xi_n_values])
     tau, xip = mesh_axes(grid)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        rq = roots(tau, xip)
+    for rho in rq.all():
+        _require_finite(rho, tau, xip, "roots")
+    rho1p, rho2p, rho1m, rho2m = (rho[..., None] for rho in rq.all())
     tau, xip = tau[..., None], xip[..., None]
     xin = xi_n_values[None, None, :]
-    rq = roots(tau, xip)
-    prod = ((xin - rq.rho1_minus) * (xin - rq.rho2_minus)
-            * (xin - rq.rho1_plus) * (xin - rq.rho2_plus))
+    prod = (xin - rho1m) * (xin - rho2m) * (xin - rho1p) * (xin - rho2p)
     D = d_eval_split(tau, xip, xin)
     return float((np.abs(D - prod) / (1.0 + np.abs(D))).max())
 

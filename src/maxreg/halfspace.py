@@ -46,7 +46,7 @@ from .polygons import (
     smooth_weight_eval,
     trace_order_function,
 )
-from .spectral import SolveResult, require_integers
+from .spectral import SolveResult, require_integers, require_positive_finite
 from .symbols import normal_coeffs
 
 _DEGENERATE = 1e-6  # |i(sigma - rho)| * Ln below this -> series branch
@@ -77,11 +77,10 @@ class HalfGrid:
             raise ValueError("total spatial dimension must be 1 or 2")
         if self.n == 2 and not self.N >= 1:
             raise ValueError("N >= 1 tangential samples required for n = 2")
-        if not (self.T > 0 and self.Lx > 0):
-            raise ValueError("positive box and period")
-        if self.Ln is not None and not self.Ln > 0:
-            raise ValueError("positive normal length Ln")
-        if self.Ln is None:  # sixteen decay lengths of the slowest mode (k=1, xi'=0)
+        require_positive_finite(self, "T", "Lx")
+        if self.Ln is not None:
+            require_positive_finite(self, "Ln")
+        else:  # sixteen decay lengths of the slowest mode (k=1, xi'=0)
             rq = roots(self.omega, 0.0)
             object.__setattr__(self, "Ln", 16.0 / float(min(rq.rho1_plus.imag,
                                                              rq.rho2_plus.imag)))
@@ -300,23 +299,26 @@ def _int_power_exp(qmax: int, b: np.ndarray, L: float) -> np.ndarray:
     """integral_0^L x^q e^{b x} dx for q = 0..qmax; shape b.shape + (qmax + 1,).
 
     A power series where |b| L < 0.5, the integration-by-parts recursion
-    elsewhere; each branch is evaluated on its own entries only."""
+    elsewhere.  The recursion runs on the whole array, with the decaying
+    stand-in b = -1/L on the series entries (e^{bL} = 1/e, no overflow and
+    no small divisor), whose series values then overwrite it."""
     q = np.arange(qmax + 1)
     out = np.empty(b.shape + (qmax + 1,), complex)
     small = np.abs(b) * L < 0.5
-    bs, total, fact = b[small][:, None], 0.0, 1.0
-    for l in range(64):
-        term = bs ** l * L ** (q + l + 1) / (fact * (q + l + 1))
-        total = total + term
-        fact *= l + 1
-        if np.all(np.abs(term) < 1e-18 * (np.abs(total) + 1e-300)):
-            break
-    out[small] = total
-    bb = b[~small]
+    bb = np.where(small, -1.0 / L, b)
     ebl = np.exp(bb * L)
-    out[~small, 0] = (ebl - 1.0) / bb
+    out[..., 0] = (ebl - 1.0) / bb
     for p in range(1, qmax + 1):
-        out[~small, p] = (L ** p) * ebl / bb - (p / bb) * out[~small, p - 1]
+        out[..., p] = (L ** p) * ebl / bb - (p / bb) * out[..., p - 1]
+    if small.any():  # the series loop costs ~30 us even on no entries
+        bs, total, fact = b[small][:, None], 0.0, 1.0
+        for l in range(64):
+            term = bs ** l * L ** (q + l + 1) / (fact * (q + l + 1))
+            total = total + term
+            fact *= l + 1
+            if np.all(np.abs(term) < 1e-18 * (np.abs(total) + 1e-300)):
+                break
+        out[small] = total
     return out
 
 
@@ -720,6 +722,27 @@ def trace_extension(grid: HalfGrid, g: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _norm_2x2(A: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a (..., 2, 2) stack, in closed form:
+    the root of the larger eigenvalue (p + r)/2 + hypot((p - r)/2, |q|) of
+    A^H A = [[p, q], [q*, r]], whose two terms never cancel."""
+    sq = (A * A.conj()).real
+    p, r = sq[..., 0].sum(axis=-1), sq[..., 1].sum(axis=-1)
+    q = (A[..., 0, 0].conj() * A[..., 0, 1] + A[..., 1, 0].conj() * A[..., 1, 1])
+    return np.sqrt(0.5 * (p + r) + np.hypot(0.5 * (p - r), np.abs(q)))
+
+
+def _conditioning(M: np.ndarray, det: np.ndarray, left: np.ndarray,
+                  right: np.ndarray) -> tuple:
+    """cond_2(M) and ||diag(left) M^{-1} diag(right)^{-1}||_2 for a stack of
+    2x2 matrices M with determinants det: cond = s_max^2 / |det|, and
+    M^{-1} = adj(M) / det."""
+    adj = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]],
+                   axis=-1).reshape(M.shape)
+    scaled = left[:, :, None] * (adj / det[:, None, None]) / right[:, None, :]
+    return _norm_2x2(M) ** 2 / np.abs(det), _norm_2x2(scaled)
+
+
 def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
     """Solve op[D]_+ u = f, B_1 u = g_1, B_2 u = g_2 on every live column.
 
@@ -762,10 +785,8 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
                                             factors, grid.Ln) for r in plus], axis=-1)
     w_chi = np.stack([smooth_weight_eval(_default_chi(op, ZERO_OF), tau, xi)
                       for op in bc], axis=-1)
-    scaled = np.linalg.norm(np.sqrt(n_col)[:, :, None] * np.linalg.inv(M)
-                            / w_chi[:, None, :], 2, axis=(-2, -1))
-    conds = list(zip(zip(*(i.tolist() for i in index)),
-                     np.linalg.cond(M).tolist(), scaled.tolist()))
+    cond, scaled = _conditioning(M, det, np.sqrt(n_col), w_chi)
+    conds = list(zip(zip(*(i.tolist() for i in index)), cond.tolist(), scaled.tolist()))
     return SolveResult(u=out, diagnostics={
         "max_cond": max((c for _, c, _ in conds), default=0.0),
         "max_scaled_cond": max((s for _, _, s in conds), default=0.0),
@@ -927,8 +948,12 @@ def random_exp_field(grid: HalfGrid, seed: int = 0) -> HalfField:
     """Random decaying exponential-sum field: three terms c e^{i rho x} on
     every live column, with Re rho in [-2, 2] and Im rho in [0.3, 2]."""
     rng = np.random.default_rng(seed)
-    draws = np.array([(rng.normal(), rng.normal(),
-                       rng.uniform(-2.0, 2.0), rng.uniform(0.3, 2.0))
+    # the stream of rng.normal() and rng.uniform(low, high), which are
+    # standard_normal() and low + (high - low) * random() (2 - 0.3 is 1.7
+    # exactly), drawn term by term: one vectorized draw of each would
+    # reorder the stream
+    normal, unit = rng.standard_normal, rng.random
+    draws = np.array([(normal(), normal(), unit(), unit())
                       for _ in range(3 * grid.column_mesh()[1].size)]).reshape(-1, 3, 4)
-    return _exp_field(grid, draws[..., 2] + 1j * draws[..., 3],
-                      (draws[..., 0] + 1j * draws[..., 1])[..., None])
+    rho = (-2.0 + 4.0 * draws[..., 2]) + 1j * (0.3 + 1.7 * draws[..., 3])
+    return _exp_field(grid, rho, (draws[..., 0] + 1j * draws[..., 1])[..., None])

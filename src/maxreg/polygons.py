@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -411,9 +412,12 @@ def of_neg(a: OFLike) -> OrderFunctionDiff:
 # ---------------------------------------------------------------------------
 
 
-def _vertex_terms(mu: OrderFunction) -> list[tuple[float, float]]:
-    """(r, s) exponent pairs over the non-origin vertices of N(mu)."""
-    return [(float(v.r), float(v.s)) for v in polygon_of(mu).upper_chain()]
+@lru_cache(maxsize=128)
+def _vertex_terms(mu: OrderFunction) -> tuple[tuple[float, float], ...]:
+    """(r, s) exponent pairs over the non-origin vertices of N(mu); the
+    weights of one order function are evaluated many times, so its hull is
+    built once."""
+    return tuple((float(v.r), float(v.s)) for v in polygon_of(mu).upper_chain())
 
 
 def _weight_positive(mu: OrderFunction, tau, xi_norm):

@@ -28,6 +28,16 @@ def require_integers(grid, *names) -> None:
             raise ValueError(f"grid size {name} must be an integer, got {value!r}")
 
 
+def require_positive_finite(grid, *names) -> None:
+    """ValueError naming the first of the grid's lengths that is not a
+    positive finite number."""
+    for name in names:
+        value = getattr(grid, name)
+        if not (isinstance(value, (int, float, np.integer, np.floating))
+                and 0 < value < np.inf):
+            raise ValueError(f"grid {name} must be a positive finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Period-T time circle x n-dimensional periodic box, N samples per side."""
@@ -44,8 +54,7 @@ class TorusGrid:
             raise ValueError("K >= 1")
         if self.N < 2 or self.N & (self.N - 1):
             raise ValueError("N must be a power of two")
-        if self.Lx <= 0 or self.T <= 0:
-            raise ValueError("positive box and period")
+        require_positive_finite(self, "T", "Lx")
         if self.n not in (1, 2):
             raise ValueError("spatial dimension must be 1 or 2")
 
@@ -187,7 +196,7 @@ def _symbol_values(m, grid: TorusGrid, oscillatory: bool) -> np.ndarray:
 def _require_finite(vals: np.ndarray, grid: TorusGrid) -> None:
     """Raise at the first non-finite value of vals broadcast to the mesh."""
     if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, grid.shape)))[0]
+        bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, grid.shape)))[0].tolist()
         raise FloatingPointError(
             f"symbol not finite at k={bad[0] - grid.K}, grid index {tuple(bad[1:])}")
 

@@ -386,7 +386,8 @@ def _point(tau, xi, idx) -> dict:
     return {"tau": float(tau[idx[0], 0]), "xi": float(xi[0, idx[1]])}
 
 
-def _require_finite(vals: np.ndarray, tau: np.ndarray, xi: np.ndarray) -> None:
+def _require_finite(vals: np.ndarray, tau: np.ndarray, xi: np.ndarray,
+                    what: str = "symbol evaluation") -> None:
     """Raise at the first non-finite value of vals broadcast to the mesh,
     in row-major order."""
     bad = ~np.isfinite(vals)
@@ -394,7 +395,7 @@ def _require_finite(vals: np.ndarray, tau: np.ndarray, xi: np.ndarray) -> None:
         bad = np.broadcast_to(bad, np.broadcast(tau, xi).shape)
         pt = _point(tau, xi, np.argwhere(bad)[0])
         raise FloatingPointError(
-            f"symbol evaluation not finite at tau={pt['tau']}, |xi|={pt['xi']}")
+            f"{what} not finite at tau={pt['tau']}, |xi|={pt['xi']}")
 
 
 def _sample_ratio(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):

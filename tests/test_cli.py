@@ -1,12 +1,16 @@
 """Tests for the command-line driver: exit codes, determinism, formats."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from maxreg.boundary import bc_to_jsonable, neumann_pair_13
-from maxreg.cli import main, parse_grid
+from maxreg.cli import _median, main, parse_grid
 from maxreg.factorization import d_symbol
 from maxreg.spectral import Field
 from maxreg.symbols import PolySymbol
@@ -63,6 +67,20 @@ def test_polygon_empty_symbol(capsys, tmp_path):
     path.write_text('{"n": 1, "radial": true, "monomials": []}')
     code, out, err = run(capsys, "polygon", str(path))
     assert code == 1 and "no monomials" in err
+
+
+@pytest.mark.parametrize("command", [("polygon",), ("check", "ellipticity")])
+def test_non_finite_symbol_coefficient_is_one_error_line(capsys, tmp_path, command):
+    """JSON reads NaN: the symbol file is rejected on loading, by every
+    command, rather than giving a polygon of a symbol that is not one."""
+    path = tmp_path / "nan.json"
+    path.write_text('{"n": 1, "radial": true, "monomials": ['
+                    '{"re": NaN, "im": 0.0, "i": 1, "r": 0}, '
+                    '{"re": 1.0, "im": 0.0, "i": 0, "r": 2}]}')
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err == (f"error: {path}: coefficient (nan+0j) of the monomial with "
+                   "tau power 1 and xi power 0 is not finite\n")
 
 
 def test_no_partial_output_on_error(capsys, tmp_path):
@@ -213,6 +231,14 @@ def test_chg_report(capsys):
     assert rep["data"]["ellipticity_constant"] >= 1.0 / (2.0 * 3.0 ** 0.5)
 
 
+def test_chg_root_overflow_is_located(capsys):
+    """The factorization residual names the first mesh point whose roots
+    overflow (-tau^2 at tau = -1e200), as the certifications do."""
+    code, out, err = run(capsys, "chg", "--grid", "tau_max=1e200")
+    assert code == 1 and out == ""
+    assert err == "error: roots not finite at tau=-1e+200, |xi|=0.0\n"
+
+
 def test_export_chg_bundle(capsys, tmp_path):
     rep_path = tmp_path / "chg.json"
     run(capsys, "chg", "--out", str(rep_path))
@@ -340,6 +366,54 @@ def test_solve_half_ensemble(capsys):
     assert code == 0
     assert len(rep["data"]["ratios"]) == 3
     assert rep["data"]["median_ratio"] > 0
+
+
+def test_negative_ensemble_is_one_error_line(capsys, recwarn):
+    code, out, err = run(capsys, "solve", "half", "--ensemble", "-1",
+                         "--grid", "K=4,Nn=64")
+    assert code == 1 and out == ""
+    assert err == "error: --ensemble takes a sample count >= 0, not -1\n"
+    assert len(recwarn) == 0
+
+
+def test_median_is_numpy_median():
+    rng = np.random.default_rng(0)
+    for n in range(1, 8):
+        xs = list(rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5, size=n))
+        assert _median(xs) == float(np.median(xs))
+
+
+def test_ensemble_does_not_import_numpy_ma():
+    """The ensemble median is taken without np.median, which imports
+    numpy.ma (about 10 ms in a cold process)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(root, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    script = ("import contextlib, io, sys\n"
+              "from maxreg.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    code = main(['solve', 'half', '--ensemble', '2', '--grid', 'K=2,Nn=64'])\n"
+              "print(code, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
+@pytest.mark.parametrize("domain", ["whole", "half"])
+@pytest.mark.parametrize("grid, expect", [
+    ('{"Lx": 1e400}', "error: grid Lx must be a positive finite number, got inf\n"),
+    ('{"T": NaN, "K": 2, "N": 8}',
+     "error: grid T must be a positive finite number, got nan\n"),
+])
+def test_non_finite_config_grid_is_one_error_line(capsys, tmp_path, domain, grid,
+                                                  expect):
+    """A config file can pass the non-finite lengths that --grid rejects."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"grid": {grid}}}')
+    code, out, err = run(capsys, "solve", domain, "--config", str(cfg))
+    assert code == 1 and out == "" and err == expect
 
 
 # --- probe -----------------------------------------------------------------

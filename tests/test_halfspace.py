@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxreg import halfspace
 from maxreg.boundary import BoundaryOperator, dirichlet_pair, neumann_pair_13
@@ -86,8 +88,11 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         HalfGrid(n=3)
     for bad in ({"T": 0.0}, {"T": -1.0}, {"T": float("nan")}, {"Lx": 0.0},
-                {"Ln": 0.0}, {"Ln": -1.0}):
-        with pytest.raises(ValueError):
+                {"Ln": 0.0}, {"Ln": -1.0}, {"T": float("inf")},
+                {"Lx": float("inf")}, {"Lx": float("nan")}, {"Ln": float("inf")},
+                {"T": "1"}):
+        with pytest.raises(ValueError, match=f"grid {next(iter(bad))} must be a "
+                           "positive finite number"):
             HalfGrid(K=2, Nn=64, **bad)
 
 
@@ -236,6 +241,83 @@ def test_int_power_exp_matches_quadrature(bl):
     for q in range(5):
         want = (x[1] - x[0]) / 3.0 * np.dot(w, x ** q * np.exp(b * x))
         assert abs(got[q] - want) < 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("L", [1.0, 30.0, 1e3])
+def test_int_power_exp_mixed_branches_match_gauss_legendre(L):
+    """Series (|b| L < 0.5) and recursion entries in one array: the recursion
+    runs over all of them with a decaying stand-in on the series entries, so
+    nothing overflows, underflows or divides by zero even at L = 1e3."""
+    bl = np.array([0.0, 1e-9, 0.1, 0.49, 0.5, 2.0, 40.0, 0.49, 3.0, 40.0])
+    angle = np.array([0.0, 2.2, 1.7, 3.1, 2.2, 1.6, 2.6, np.pi / 2, np.pi / 2, np.pi])
+    b = (bl / L * np.exp(1j * angle)).reshape(2, 5)
+    with np.errstate(all="raise"):
+        got = halfspace._int_power_exp(4, b, L)
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    x, w = 0.5 * L * (nodes + 1.0), 0.5 * L * weights
+    for q in range(5):
+        f = x ** q * np.exp(b[..., None] * x)
+        want, scale = f @ w, np.abs(f) @ w
+        assert np.all(np.abs(got[..., q] - want) < 1e-12 * scale)
+
+
+def _stack_2x2(rng, size, near_singular):
+    """size random complex 2x2 matrices, with nearly parallel columns when
+    near_singular is given (their distance from singular)."""
+    z = rng.normal(size=(size, 2, 2)) + 1j * rng.normal(size=(size, 2, 2))
+    if near_singular is not None:
+        z[:, :, 1] = (rng.normal(size=(size, 1)) * z[:, :, 0]
+                      + near_singular * z[:, :, 1])
+    return z * 10.0 ** rng.uniform(-3, 3, size=(size, 1, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1),
+       st.one_of(st.none(), st.floats(1e-10, 1.0)))
+def test_conditioning_matches_lapack(seed, near_singular):
+    """The closed-form cond_2(M) and ||diag(l) M^-1 diag(r)^-1||_2 of
+    solve_half_scalar against np.linalg.cond and np.linalg.norm(., 2): both
+    agree to a few ulps of 1/cond, and to eps * cond relative for the
+    inverse, whose rounding grows with cond in either method."""
+    rng = np.random.default_rng(seed)
+    M = _stack_2x2(rng, 16, near_singular)
+    left, right = (10.0 ** rng.uniform(-1, 1, size=(16, 2)) for _ in range(2))
+    det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
+    cond, scaled = halfspace._conditioning(M, det, left, right)
+    want_cond = np.linalg.cond(M)
+    assert np.all(np.abs(1.0 / cond - 1.0 / want_cond) < 1e-13)
+    want = np.linalg.norm(left[:, :, None] * np.linalg.inv(M) / right[:, None, :],
+                          2, axis=(-2, -1))
+    assert np.all(np.abs(scaled - want) < 1e-12 * want_cond * want)
+
+
+def test_norm_2x2_of_scaled_unitary_matrices():
+    """Equal singular values, where a discriminant f^2 - 4|det|^2 of the
+    Frobenius norm f would lose half the digits."""
+    t = np.linspace(0.1, 3.0, 7)
+    U = np.stack([np.stack([np.cos(t), -np.sin(t)], -1),
+                  np.stack([np.sin(t), np.cos(t)], -1)], -2) * np.exp(1j * t)[:, None, None]
+    got = halfspace._norm_2x2(3.0 * U)
+    assert np.all(np.abs(got - 3.0) < 4e-15 * 3.0)
+
+
+def test_random_exp_field_draw_stream_is_pinned():
+    """Golden draws of random_exp_field(seed=5) on the ensemble grid: the
+    ensemble reports depend on this exact stream."""
+    f = random_exp_field(HalfGrid(K=8, n=2, N=16, Nn=128), seed=5)
+    assert f.rho.shape == (256, 3) and f.coef.shape == (256, 3, 1)
+    golden = {
+        (0, 0): (0.061302244168568 + 0.7858623461498406j,
+                 -0.8019314252534474 - 1.324358995628145j),
+        (1, 2): (1.5186046933396886 + 0.4091645434307247j,
+                 -0.7133133716322436 + 0.5533784703532895j),
+        (100, 1): (-0.14801066585486922 + 1.7532228314476777j,
+                   1.1231520774598631 + 0.17433067237686975j),
+        (255, 2): (-1.3364845882811367 + 1.0912715388047518j,
+                   -0.056623494191235815 - 1.5891949058950054j),
+    }
+    for idx, (rho, coef) in golden.items():
+        assert f.rho[idx] == rho and f.coef[idx][0] == coef
 
 
 def test_resolvents_reject_wrong_half_plane():

@@ -51,6 +51,22 @@ def test_grid_validation():
         TorusGrid(n=3)
 
 
+@pytest.mark.parametrize("name, value", [("T", float("nan")), ("T", float("inf")),
+                                         ("Lx", float("inf")), ("Lx", -1.0), ("T", "1")])
+def test_grid_lengths_must_be_positive_finite(name, value):
+    with pytest.raises(ValueError, match=f"grid {name} must be a positive finite number"):
+        TorusGrid(**{name: value})
+
+
+def test_non_finite_symbol_is_located_in_plain_integers():
+    grid = TorusGrid(K=2, N=8)
+    vals = np.ones(grid.shape)
+    vals[0, 3] = np.nan
+    with pytest.raises(FloatingPointError) as err:
+        spectral._require_finite(vals, grid)
+    assert str(err.value) == "symbol not finite at k=-2, grid index (3,)"
+
+
 @pytest.mark.parametrize("name", ["K", "N"])
 def test_grid_sizes_must_be_integers(name):
     sizes = {"K": 2, "N": 16}
