@@ -605,11 +605,30 @@ _EXPORT_HEADERS = {
 }
 
 
+def _report_list(data, key, item_ok, items):
+    """data[key], which must be a list whose entries pass item_ok."""
+    val = data[key]
+    if not isinstance(val, list) or not all(map(item_ok, val)):
+        raise CliError(f"report entry {key!r} must be a list of {items}")
+    return val
+
+
+def _is_list_of(n):
+    return lambda v: isinstance(v, list) and len(v) == n
+
+
+def _is_trace_entry(e):
+    return (isinstance(e, dict) and "j" in e and isinstance(e.get("pieces"), list)
+            and all(map(_is_list_of(3), e["pieces"])))
+
+
 def cmd_export(cfg):
     report = _load_json(cfg["report"])
     if not isinstance(report, dict):
         raise CliError("report file must hold a JSON object")
     data = report.get("data", {})
+    if not isinstance(data, dict):
+        raise CliError("report entry 'data' must be a JSON object")
     out_dir = cfg.get("out") or "export"
     files = {}
 
@@ -623,20 +642,19 @@ def cmd_export(cfg):
 
     # a polygon report names its vertices "vertices", a chg report
     # "polygon_vertices"
-    verts = data.get("polygon_vertices", data.get("vertices"))
-    if verts is not None:
+    verts = "polygon_vertices" if "polygon_vertices" in data else "vertices"
+    if data.get(verts) is not None:
         table("polygon_vertices.csv", _EXPORT_HEADERS["polygon_vertices.csv"],
-              [[r, s] for r, s in verts])
+              _report_list(data, verts, _is_list_of(2), "[r, s] pairs"))
     if "trace_order_functions" in data:
-        rows = []
-        for entry in data["trace_order_functions"]:
-            for ge, b, m in entry["pieces"]:
-                rows.append([entry["j"], b, m])
-        table("trace_polygons.csv", _EXPORT_HEADERS["trace_polygons.csv"], rows)
+        entries = _report_list(data, "trace_order_functions", _is_trace_entry,
+                               'objects {"j": ..., "pieces": [[gamma, r, s], ...]}')
+        table("trace_polygons.csv", _EXPORT_HEADERS["trace_polygons.csv"],
+              [[e["j"], b, m] for e in entries for _, b, m in e["pieces"]])
     if "rows" in data:
-        keys = sorted({k for r in data["rows"] for k in r})
-        table("growth.csv", keys,
-              [[r.get(k, "") for k in keys] for r in data["rows"]])
+        rows = _report_list(data, "rows", lambda r: isinstance(r, dict), "JSON objects")
+        keys = sorted({k for r in rows for k in r}) or _EXPORT_HEADERS["growth.csv"]
+        table("growth.csv", keys, [[r.get(k, "") for k in keys] for r in rows])
     for key, val in sorted(data.items()):
         if key == "rows" or key == "trace_order_functions":
             continue

@@ -138,6 +138,8 @@ class HalfGrid:
 class HalfField:
     """samples[col, xn] plus an exact exponential-sum part on the live columns.
 
+    samples is None for a field without a sampled part (or all-zero samples),
+    and the field is oscillatory when its k = 0 slab is zero.
     The exact part of live column c (HalfGrid.column_mesh() order) is
     sum_{s, p} coef[c, s, p] x^p e^{i rho[c, s] x}: slot s shares one
     exponent across its powers p, and unused entries carry zero
@@ -146,13 +148,17 @@ class HalfField:
     c != 0; terms of one column with equal rho share a slot.
     """
 
-    def __init__(self, grid: HalfGrid, samples, exp_terms=None, oscillatory=True):
+    def __init__(self, grid: HalfGrid, samples, exp_terms=None):
         self.grid = grid
-        self.samples = np.asarray(samples, dtype=complex)
-        if self.samples.shape != grid.shape:
-            raise ValueError(f"shape {self.samples.shape} != {grid.shape}")
-        self.oscillatory = oscillatory
+        data = None if samples is None else np.asarray(samples, dtype=complex)
+        if data is not None and data.shape != grid.shape:
+            raise ValueError(f"shape {data.shape} != {grid.shape}")
+        self.samples = data if data is not None and data.any() else None
         self.exp_terms = exp_terms or {}
+
+    @property
+    def oscillatory(self) -> bool:
+        return self.samples is None or not self.samples[self.grid.K].any()
 
     @property
     def exp_terms(self) -> dict:
@@ -165,8 +171,7 @@ class HalfField:
 
     @exp_terms.setter
     def exp_terms(self, terms_by_column: dict) -> None:
-        index = self.grid.column_mesh()[0]
-        row_of = {idx: r for r, idx in enumerate(zip(*(i.tolist() for i in index)))}
+        row_of = {idx: r for r, (idx, _, _) in enumerate(self.grid.columns())}
         slots = [{} for _ in row_of]  # per live column: {rho: slot}
         entries = []  # (column, slot, power, coefficient)
         for idx, terms in terms_by_column.items():
@@ -189,22 +194,19 @@ class HalfField:
         for r, s, m, c in entries:
             self.coef[r, s, m] += c
 
-    def _samples_copy(self) -> np.ndarray:
-        """A copy of the samples, never written when they are all zero."""
-        return self.samples.copy() if self.samples.any() else np.zeros(self.grid.shape, complex)
-
     def values(self) -> np.ndarray:
-        out = self._samples_copy()
+        out = self.copy().samples
         if self.rho.shape[1]:
             out[self.grid.column_mesh()[0]] += eval_terms(self.rho, self.coef, self.grid.xn())
         return out
 
     def materialized(self) -> "HalfField":
-        return HalfField(self.grid, self.values(), {}, self.oscillatory)
+        return HalfField(self.grid, self.values())
 
     def copy(self) -> "HalfField":
-        return _field(self.grid, self._samples_copy(), self.rho.copy(),
-                      self.coef.copy(), self.oscillatory)
+        """A copy with writable grid.shape samples, zeros for a field without samples."""
+        s = np.zeros(self.grid.shape, complex) if self.samples is None else self.samples.copy()
+        return _field(self.grid, s, self.rho.copy(), self.coef.copy())
 
     def __add__(self, other: "HalfField") -> "HalfField":
         return self._combine(other, np.add)
@@ -213,53 +215,61 @@ class HalfField:
         return self._combine(other, np.subtract)
 
     def _combine(self, other: "HalfField", op) -> "HalfField":
-        """self op other; a slot of other merges into the first slot of self
-        whose exponent equals its own on every live column, else is appended."""
+        """self op other, with samples of its own; a slot of other merges into
+        the first slot of self whose exponent equals its own on every live
+        column, else is appended."""
         if other.grid != self.grid:
             raise ValueError("grid mismatch")
-        samples = (op(self.samples if self.samples.any() else 0.0, other.samples)
-                   if other.samples.any() else self._samples_copy())
-        P = max(self.coef.shape[2], other.coef.shape[2])
-        coef, theirs = (np.pad(c, ((0, 0), (0, 0), (0, P - c.shape[2])))
-                        for c in (self.coef, op(0.0, other.coef)))
+        if other.samples is not None:
+            samples = op(0.0 if self.samples is None else self.samples, other.samples)
+        else:
+            samples = None if self.samples is None else self.samples.copy()
+        theirs = op(0.0, other.coef)
+        (S, P), Q = self.coef.shape[1:], theirs.shape[2]
         same = (self.rho[:, :, None] == other.rho[:, None, :]).all(axis=0)
-        for t in np.flatnonzero(same.any(axis=0)):
-            coef[:, same[:, t].argmax()] += theirs[:, t]
         new = ~same.any(axis=0)
+        coef = np.zeros((len(self.rho), S + new.sum(), max(P, Q)), complex)
+        coef[:, :S, :P] = self.coef
+        for t in np.flatnonzero(~new):
+            coef[:, same[:, t].argmax(), :Q] += theirs[:, t]
+        coef[:, S:, :Q] = theirs[:, new]
         return _field(self.grid, samples,
-                      np.concatenate([self.rho, other.rho[:, new]], axis=1),
-                      np.concatenate([coef, theirs[:, new]], axis=1),
-                      self.oscillatory and other.oscillatory)
+                      np.concatenate([self.rho, other.rho[:, new]], axis=1), coef)
 
 
-def _field(grid: HalfGrid, samples: np.ndarray, rho: np.ndarray,
-           coef: np.ndarray, oscillatory: bool = True) -> HalfField:
-    """A field from its samples and its packed exact part."""
+def _field(grid: HalfGrid, samples, rho: np.ndarray, coef: np.ndarray) -> HalfField:
+    """A field from its samples (or None) and its packed exact part."""
     f = HalfField.__new__(HalfField)
-    vars(f).update(grid=grid, samples=samples, rho=rho, coef=coef, oscillatory=oscillatory)
+    vars(f).update(grid=grid, samples=samples, rho=rho, coef=coef)
     return f
 
 
 def _exp_field(grid: HalfGrid, rho: np.ndarray, coef: np.ndarray) -> HalfField:
     """A field without samples, holding the slots of (rho, coef) that are not zero."""
     keep = coef.any(axis=(0, 2))
-    return _field(grid, np.zeros(grid.shape, complex), rho[:, keep], coef[:, keep])
+    return _field(grid, None, rho[:, keep], coef[:, keep])
 
 
-def _scatter(grid: HalfGrid, index, cols: Optional[np.ndarray]) -> np.ndarray:
-    """A grid.shape sample array with cols on the live columns; unwritten for None."""
+def _gather(f: HalfField, index) -> Optional[np.ndarray]:
+    """The samples of f on the live columns index, None for a field without samples."""
+    return None if f.samples is None else f.samples[index]
+
+
+def _scatter(grid: HalfGrid, index, cols: Optional[np.ndarray]) -> Optional[np.ndarray]:
+    """A grid.shape sample array with cols on the live columns; None for None."""
+    if cols is None:
+        return None
     out = np.zeros(grid.shape, complex)
-    if cols is not None:
-        out[index] = cols
+    out[index] = cols
     return out
 
 
 def zero_half_field(grid: HalfGrid) -> HalfField:
-    return HalfField(grid, np.zeros(grid.shape, complex))
+    return HalfField(grid, None)
 
 
 def exp_field(grid: HalfGrid, terms_by_column: dict) -> HalfField:
-    return HalfField(grid, np.zeros(grid.shape, complex), terms_by_column)
+    return HalfField(grid, None, terms_by_column)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +533,7 @@ def apply_poly_operator(f: HalfField, coeff_fn: Callable) -> HalfField:
     grid = f.grid
     index, tau, xi = grid.column_mesh()
     coeffs = [np.asarray(c) for c in coeff_fn(tau, xi)]
-    cols = f.samples[index] if f.samples.any() else None
+    cols = _gather(f, index)
     if cols is not None:
         acc = coeffs[0][..., None] * cols
         for j in range(1, len(coeffs)):
@@ -566,7 +576,7 @@ def dotted_inverse(f: HalfField, roots_fn: Callable) -> HalfField:
         raise ValueError("half-space inverses act on oscillatory data")
     grid = f.grid
     index, tau, xi = grid.column_mesh()
-    cols = f.samples[index] if f.samples.any() else None
+    cols = _gather(f, index)
     slots, coef = f.rho, f.coef
     for rho in roots_fn(tau, xi):
         causal = bool(np.all(np.imag(rho) < 0))
@@ -636,7 +646,7 @@ def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
     factors = weight_factors(mu)
     index, tau, xi = grid.column_mesh()
     sq = column_weighted_l2_sq(u.rho, u.coef, tau, xi, factors, grid.Ln)
-    cols = u.samples[index] if u.samples.any() else None
+    cols = _gather(u, index)
     if cols is not None:
         held = cols.any(axis=1)
         d1 = derivative_matrix(grid.Nn, grid.h, 1) if factors else None
@@ -669,7 +679,7 @@ def traces(u: HalfField, count: int) -> np.ndarray:
     """Discrete Tr_j, j = 0..count-1; shape (count,) + col_shape."""
     grid = u.grid
     index = grid.column_mesh()[0]
-    cols = u.samples[index] if u.samples.any() else None
+    cols = _gather(u, index)
     out = np.zeros((count,) + grid.col_shape, complex)
     for j in range(count):
         val = trace_of_terms(u.rho, u.coef, j)
@@ -776,8 +786,7 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
                     for gi, op in zip(g, bc)], axis=-1)
     c = np.linalg.solve(M, rhs[..., None])[..., 0]
     # the correction merges into the rho_j^+ slots the dotted inverse made
-    out = p + _field(grid, np.zeros(grid.shape, complex),
-                     np.stack(plus, axis=-1), c[..., None])
+    out = p + _field(grid, None, np.stack(plus, axis=-1), c[..., None])
     # norm of the map (boundary data in its trace space) -> (correction
     # in H^{mu_D}): the numerical shadow of the complementing condition
     factors = weight_factors(MU_D)
@@ -888,22 +897,15 @@ def dirichlet_failure_probe(resolutions: Optional[Sequence[tuple]] = None) -> li
     def row_for(K: int, Nn: int) -> dict:
         grid = HalfGrid(K=K, n=1, Nn=Nn)
         g = borderline_datum(grid)
-        gg = np.zeros((2,) + grid.col_shape, complex)
-        gg[0] = g
-        F = trace_extension(grid, gg, MU_MINUS)
-        f = apply_dminus(F)
-        w = dminus_inverse_plus(f)
-        tr0 = traces(w, 1)[0]
-        trace_norm = boundary_norm(tr0, T2_MU_D, grid)
-        f_norm = halfspace_norm(f, 0)
+        f = apply_dminus(trace_extension(grid, np.stack([g, np.zeros_like(g)]), MU_MINUS))
         dir_u = solve_half_scalar(f, None, dirichlet_pair())
         neu_u = solve_half_scalar(f, None, neumann_pair_13())
         edge_dir = dir_u.diagnostics["conds"][-1][2]
         edge_neu = neu_u.diagnostics["conds"][-1][2]
         return {
             "K": K, "Nn": Nn,
-            "trace_norm_T2": trace_norm,
-            "f_norm": f_norm,
+            "trace_norm_T2": boundary_norm(traces(dminus_inverse_plus(f), 1)[0], T2_MU_D, grid),
+            "f_norm": halfspace_norm(f, 0),
             "dirichlet_ratio": _sup_column_ratio(dir_u.u, f),
             "neumann_ratio": _sup_column_ratio(neu_u.u, f),
             "dirichlet_edge_scaled_cond": edge_dir,
@@ -923,10 +925,9 @@ _HEADER = struct.Struct("<diiiddi")
 
 def write_half_field(path, f: HalfField) -> None:
     g = f.grid
-    data = f.values()
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(g.T, g.K, g.n, g.N, g.Lx, g.Ln, g.Nn))
-        fh.write(np.ascontiguousarray(data, dtype=np.complex64).tobytes())
+        fh.write(f.values().astype(np.complex64).tobytes())
 
 
 def read_half_field(path) -> HalfField:
@@ -934,9 +935,7 @@ def read_half_field(path) -> HalfField:
         T, K, n, N, Lx, Ln, Nn = _HEADER.unpack(fh.read(_HEADER.size))
         grid = HalfGrid(T=T, K=K, n=n, N=N, Lx=Lx, Ln=Ln, Nn=Nn)
         raw = np.frombuffer(fh.read(), dtype=np.complex64)
-    data = raw.reshape(grid.shape).astype(complex)
-    osc = bool(np.all(data[grid.K] == 0))
-    return HalfField(grid, data, oscillatory=osc)
+    return HalfField(grid, raw.reshape(grid.shape).astype(complex))
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,30 @@ def test_export_empty_report_header_only(capsys, tmp_path):
         assert len(lines) == 1  # header only
 
 
+@pytest.mark.parametrize("data, growth_header", [
+    ([], None),
+    ({"rows": 5}, None),
+    ({"rows": [1, 2]}, None),
+    ({"vertices": 3}, None),
+    ({"trace_order_functions": [{"j": 0, "pieces": 5}]}, None),
+    ({"rows": []}, "K,Nn,trace_norm_T2,dirichlet_ratio,neumann_ratio,cond_contrast"),
+])
+def test_export_malformed_report(capsys, tmp_path, data, growth_header):
+    """A malformed report ends in one error line, exit 1 and no files; an
+    empty row list gets the standard growth.csv header."""
+    rep_path = tmp_path / "bad.json"
+    rep_path.write_text(json.dumps({"data": data}))
+    out_dir = tmp_path / "bundle"
+    code, out, err = run(capsys, "export", str(rep_path), "--out", str(out_dir))
+    if growth_header is None:
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: report entry ")
+        assert not out_dir.exists()
+    else:
+        assert code == 0
+        assert (out_dir / "growth.csv").read_text().splitlines() == [growth_header]
+
+
 # --- configuration and determinism ----------------------------------------
 
 

@@ -169,6 +169,65 @@ def test_dict_interface_of_the_benchmark():
     assert g.exp_terms == {} and np.array_equal(g.values(), 2.0 * f.values())
 
 
+def test_exact_data_holds_no_samples():
+    """Every operator on exponential sums keeps samples None, through the
+    scalar and the system solves."""
+    grid = HalfGrid(K=2, n=2, N=4, Nn=64)
+    u = random_exp_field(grid, seed=3)
+    v = random_exp_field(grid, seed=4)
+    ext = trace_extension(grid, _random_traces(grid, 2), MU_MINUS)
+    inv = dotted_inverse(u, lambda tau, xi: roots(tau, xi).all()[:2])
+    tr = traces(u, 4)
+    scalar = solve_half_scalar(apply_symbol(u, d_symbol()), (tr[1], tr[3]))
+    system = solve_half_chg_system(u, v, tr[1], tr[0])
+    for f in (u, ext, apply_symbol(u, d_symbol()), apply_dminus(u), inv, u + v, u - v,
+              scalar.u, *system.u, zero_half_field(grid), exp_field(grid, {})):
+        assert f.samples is None and f.oscillatory
+
+
+def test_all_zero_samples_are_held_as_none():
+    grid = HalfGrid(K=2, n=2, N=4, Nn=64)
+    assert HalfField(grid, np.zeros(grid.shape)).samples is None
+    assert HalfField(grid, None).samples is None
+    with pytest.raises(ValueError):
+        HalfField(grid, np.zeros(grid.shape[:-1] + (grid.Nn - 1,)))
+
+
+def test_copy_of_exact_field_has_writable_zero_samples():
+    u = random_exp_field(GRID, seed=6)
+    c = u.copy()
+    assert c.samples.shape == GRID.shape and not c.samples.any()
+    c.samples[1, 0] += 1.0
+    assert u.samples is None
+    assert c.values()[1, 0] == u.values()[1, 0] + 1.0
+
+
+def test_sum_owns_its_samples():
+    """A sum never shares a samples array with an operand."""
+    u = random_exp_field(GRID, seed=7).materialized()
+    v = random_exp_field(GRID, seed=8)
+    for w in (u + v, v + u, u - v, v - u, u + u):
+        assert w.samples is not None
+        assert not np.shares_memory(w.samples, u.samples)
+
+
+def test_nonzero_k0_slab_is_not_oscillatory(tmp_path):
+    """The k = 0 slab decides oscillatory; half-space inverses refuse it,
+    also after a write and read."""
+    data = np.zeros(GRID.shape, complex)
+    data[GRID.K] = 1.0
+    f = HalfField(GRID, data)
+    assert not f.oscillatory
+    with pytest.raises(ValueError, match="half-space inverses act on oscillatory data"):
+        dminus_inverse_plus(f)
+    path = tmp_path / "k0.bin"
+    write_half_field(path, f)
+    g = read_half_field(path)
+    assert not g.oscillatory
+    with pytest.raises(ValueError, match="half-space inverses act on oscillatory data"):
+        dminus_inverse_plus(g)
+
+
 def test_grid_auto_truncation_is_sixteen_decay_lengths():
     g = HalfGrid()
     rq = roots(g.omega, 0.0)
