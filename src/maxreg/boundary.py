@@ -275,4 +275,7 @@ def bc_from_jsonable(obj) -> tuple[tuple[BoundaryOperator, ...], int, OrderFunct
             else OrderFunctionDiff.from_jsonable(op["chi"]),
             name=op.get("name", ""))
         for op in obj["ops"])
-    return ops, int(obj.get("m", 0)), OrderFunction.from_jsonable(obj["nu"])
+    m = obj.get("m", 0)
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise ValueError(f"m must be an integer, got {m!r}")
+    return ops, m, OrderFunction.from_jsonable(obj["nu"])

@@ -92,6 +92,19 @@ class CliError(Exception):
 _TORUS_KEYS = ("T", "K", "n", "N", "Lx")
 _HALF_KEYS = ("T", "K", "n", "N", "Lx", "Ln", "Nn")
 _GRIDSPEC_KEYS = ("tau_max", "n_tau", "xi_min", "xi_max", "n_xi", "n_dirs")
+# the JSON types a config file may give each entry the commands read; a
+# true or false is not taken for a number
+_CONFIG_TYPES = {"grid": (dict, type(None)), "lambda": (int, float),
+                 "seed": int, "format": str, "out": (str, type(None)),
+                 "target": str, "what": str, "domain": str,
+                 "bc": (str, type(None)), "probe": bool, "ensemble": int,
+                 "resolutions": (str, type(None)), "report": str}
+
+
+def _is_json_type(val, types) -> bool:
+    if isinstance(val, bool):
+        return types is bool
+    return isinstance(val, types)
 
 
 def parse_grid(text):
@@ -135,13 +148,18 @@ def build_settings(args):
            "format": getattr(args, "format", "json-like"),
            "out": getattr(args, "out", None)}
     for key in ("target", "what", "domain", "bc", "probe", "ensemble",
-                "resolutions", "report", "mu"):
+                "resolutions", "report"):
         if hasattr(args, key):
             cfg[key] = getattr(args, key)
     if getattr(args, "config", None):
         file_cfg = _load_config_file(args.config)
         for key, val in file_cfg.items():
+            if key in _CONFIG_TYPES and not _is_json_type(val, _CONFIG_TYPES[key]):
+                raise CliError(f"config entry {key!r} has the wrong type: {val!r}")
             cfg[key] = val
+        for key, val in (cfg["grid"] or {}).items():
+            if not _is_json_type(val, (int, float)):
+                raise CliError(f"grid {key} must be a number, got {val!r}")
     if cfg["format"] not in ("json-like", "csv"):
         raise CliError(f"unknown format {cfg['format']!r}")
     return cfg
@@ -327,17 +345,17 @@ def load_poly_symbol(target):
 
 
 def load_boundary_pair(target):
+    """(bc, m, nu) of a builtin pair (m = 0, nu = 0) or of a file."""
     builtins = builtin_boundary_conditions()
     if target in builtins:
-        return builtins[target]()
+        return builtins[target](), 0, ZERO_OF
     if not os.path.exists(target):
         raise CliError(f"unknown boundary condition {target!r}: not one of "
                        f"{', '.join(sorted(builtins))} and no such file")
     try:
-        bc, _, _ = bc_from_jsonable(_load_json(target))
+        return bc_from_jsonable(_load_json(target))
     except (KeyError, TypeError, ValueError) as e:
         raise CliError(f"{target}: bad boundary-condition file: {e}")
-    return bc
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +427,8 @@ def cmd_check(cfg):
         summary = [f"mixed-order: {'pass' if out['passed'] else 'FAIL'}"]
         return data, summary, out["passed"], []
     if what == "boundary":
-        bc = load_boundary_pair(cfg["target"])
-        out = complementing_check(bc, grid=grid)
+        bc, m, nu = load_boundary_pair(cfg["target"])
+        out = complementing_check(bc, nu=nu, m=m, grid=grid)
         passed = bool(out["passed"] and out["lopatinskii"]["pass"])
         data = {"complementing_passed": out["passed"],
                 **{k: out[k] for k in ("lopatinskii", *_CERT_KEYS)}}
@@ -518,7 +536,11 @@ def _solve_half(cfg):
         summary = [f"system ensemble, {ensemble} samples: median "
                    f"max-regularity ratio = {data['median_ratio']:.4g}"]
         return data, summary, []
-    bc = load_boundary_pair(bc_name)
+    bc, m, nu = load_boundary_pair(bc_name)
+    if m or nu != ZERO_OF:
+        raise CliError(f"{bc_name}: solve half takes only m = 0 and nu = 0 "
+                       f"from a boundary-condition file (m = {m}, "
+                       f"nu {'=' if nu == ZERO_OF else '!='} 0)")
     u_star = random_exp_field(grid, seed=seed)
     f = apply_symbol(u_star, d_symbol())
     index, tau, xi = grid.column_mesh()

@@ -387,12 +387,13 @@ def anticausal_resolvent_terms(rho, slots: np.ndarray, coef: np.ndarray,
         raise ValueError("anticausal resolvent requires Im rho > 0")
     a = 1j * (slots - rho[..., None])
     deg = np.abs(a) * Ln < _DEGENERATE
-    out = _resolvent_map(np.where(deg, 1.0, a), coef)
-    out[deg] = 0.0
-    P, extra = coef.shape[-1], (3 if deg.any() else 0)
-    out = np.pad(out, [(0, 0)] * (out.ndim - 1) + [(0, extra)])
-    new = np.zeros(slots.shape[:-1] + (P + extra,), complex)
-    new[..., 0] = -out[..., 0].sum(axis=-1)
+    S, P, extra = slots.shape[-1], coef.shape[-1], (3 if deg.any() else 0)
+    out = np.zeros(slots.shape[:-1] + (S + 1, P + extra), complex)
+    mapped = out[..., :S, :P]  # g's slots; the rho slot `new` goes last
+    mapped[...] = _resolvent_map(np.where(deg, 1.0, a), coef)
+    mapped[deg] = 0.0
+    new = out[..., S, :]
+    new[..., 0] = -out[..., :S, 0].sum(axis=-1)
     # on degenerate slots, integral_0^x y^m e^{a y} dy = sum_l a^l x^(m+l+1)
     # / (l! (m+l+1)), whose three first terms reach 1e-18 relative
     ad = np.where(deg, a, 0.0)
@@ -402,8 +403,7 @@ def anticausal_resolvent_terms(rho, slots: np.ndarray, coef: np.ndarray,
             new[..., m + l + 1] += (1j * cm * ad ** l
                                     / (math.factorial(l) * (m + l + 1))).sum(axis=-1)
     rho_slot = np.broadcast_to(rho, slots.shape[:-1])[..., None]
-    return (np.concatenate([slots, rho_slot], axis=-1),
-            np.concatenate([out, new[..., None, :]], axis=-2))
+    return np.concatenate([slots, rho_slot], axis=-1), out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .polygons import OFLike, as_diff, smooth_weight_eval
+from .polygons import OFLike, as_diff, of_add, smooth_weight_eval
 from .symbols import MatrixSymbol, SymbolFn, as_symbol, det_values
 
 
@@ -106,17 +106,19 @@ class Field:
 
     grid: TorusGrid
     data: np.ndarray
-    oscillatory: bool = False
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=complex)
         if self.data.shape != self.grid.shape:
             raise ValueError(f"data shape {self.data.shape} != {self.grid.shape}")
-        if self.oscillatory and np.any(self.data[self.grid.K] != 0):
-            raise ValueError("oscillatory field has a nonzero k=0 slab")
+
+    @property
+    def oscillatory(self) -> bool:
+        """True when the k = 0 slab is zero."""
+        return not self.data[self.grid.K].any()
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy(), self.oscillatory)
+        return Field(self.grid, self.data.copy())
 
     def coefficients(self) -> np.ndarray:
         """Full (k, xi) Fourier coefficients (unitary in the box measure).
@@ -126,12 +128,11 @@ class Field:
         return np.fft.fftn(self.data, axes=axes, norm="forward")
 
     @staticmethod
-    def from_coefficients(grid: TorusGrid, coeffs: np.ndarray,
-                          oscillatory: bool = False) -> "Field":
+    def from_coefficients(grid: TorusGrid, coeffs: np.ndarray) -> "Field":
         axes = tuple(range(1, 1 + grid.n))
         data = np.fft.ifftn(np.asarray(coeffs, complex), axes=axes,
                             norm="forward")
-        return Field(grid, data, oscillatory)
+        return Field(grid, data)
 
     def sample_time(self, t) -> np.ndarray:
         """Evaluate the time series at physical times t (spatial samples kept)."""
@@ -140,8 +141,8 @@ class Field:
         return np.tensordot(phases, self.data, axes=(-1, 0))
 
 
-def zero_field(grid: TorusGrid, oscillatory: bool = True) -> Field:
-    return Field(grid, np.zeros(grid.shape, complex), oscillatory)
+def zero_field(grid: TorusGrid) -> Field:
+    return Field(grid, np.zeros(grid.shape, complex))
 
 
 def mode_field(grid: TorusGrid, k: int, xi_index, amplitude=1.0) -> Field:
@@ -150,7 +151,7 @@ def mode_field(grid: TorusGrid, k: int, xi_index, amplitude=1.0) -> Field:
     idx = (k + grid.K,) + (tuple(np.atleast_1d(xi_index)) if grid.n > 1
                            else (int(np.atleast_1d(xi_index)[0]),))
     coeffs[idx] = amplitude
-    return Field.from_coefficients(grid, coeffs, oscillatory=(k != 0))
+    return Field.from_coefficients(grid, coeffs)
 
 
 def random_band_limited_field(grid: TorusGrid, seed: int = 0) -> Field:
@@ -166,27 +167,26 @@ def random_band_limited_field(grid: TorusGrid, seed: int = 0) -> Field:
     coeffs *= envelope
     coeffs[np.abs(envelope) < 1e-14] = 0.0
     coeffs[grid.K] = 0.0
-    return Field.from_coefficients(grid, coeffs, oscillatory=True)
+    return Field.from_coefficients(grid, coeffs)
 
 
 def project_oscillatory(f: Field) -> Field:
     data = f.data.copy()
     data[f.grid.K] = 0.0
-    return Field(f.grid, data, oscillatory=True)
+    return Field(f.grid, data)
 
 
-def _symbol_values(m, grid: TorusGrid, oscillatory: bool) -> np.ndarray:
+def _symbol_values(m, grid: TorusGrid) -> np.ndarray:
     """A symbol on the live (tau_k, xi) mesh, at the broadcast shape of the
     variables it uses (a constant is 0-d); the k=0 slab is set to 0 when
     the values have a k axis (oscillatory coefficients vanish there)."""
     m = as_symbol(m)
+    # mask tau=0 during evaluation; its slab is projected away anyway
     tau = grid.tau_mesh()
-    if oscillatory:
-        # mask tau=0 during evaluation; its slab is projected away anyway
-        tau = np.where(tau == 0, grid.omega, tau)
+    tau = np.where(tau == 0, grid.omega, tau)
     xi = grid.xi_norm_mesh() if m.radial else grid.xi_components()
     vals = np.asarray(m(tau, xi), dtype=complex)
-    if oscillatory and vals.ndim == len(grid.shape) and vals.shape[0] > 1:
+    if vals.ndim == len(grid.shape) and vals.shape[0] > 1:
         vals = vals.copy()
         vals[grid.K] = 0.0
     _require_finite(vals, grid)
@@ -202,24 +202,17 @@ def _require_finite(vals: np.ndarray, grid: TorusGrid) -> None:
 
 
 def apply_multiplier(f: Field, m) -> Field:
-    """op[m] f: diagonal multiplication in the discrete (k, xi) basis."""
-    if not f.oscillatory:
-        raise ValueError("multipliers act on purely oscillatory fields")
-    vals = _symbol_values(m, f.grid, oscillatory=True)
-    return Field.from_coefficients(f.grid, f.coefficients() * vals,
-                                   oscillatory=True)
+    """op[m] f: the 1x1 system op[(m)] (f)."""
+    return apply_system(MatrixSymbol(((m,),)), (f,))[0]
 
 
-def coefficient_norms(grid: TorusGrid, c: np.ndarray, mus: Sequence[OFLike],
-                      oscillatory: bool = True) -> list[float]:
+def coefficient_norms(grid: TorusGrid, c: np.ndarray,
+                      mus: Sequence[OFLike]) -> list[float]:
     """|| op[w_mu] f ||_{L^2(G)} for each mu, by discrete Plancherel with
     smooth weights, from the (k, xi) coefficients c of f."""
     tau = grid.tau_mesh()
-    tau = np.where(tau == 0, grid.omega if oscillatory else 0.0, tau)
     xi = grid.xi_norm_mesh()
     power = np.abs(c) ** 2
-    if oscillatory:
-        power[grid.K] = 0.0
     out = []
     for mu in mus:
         w = smooth_weight_eval(as_diff(mu), tau, xi)
@@ -230,7 +223,7 @@ def coefficient_norms(grid: TorusGrid, c: np.ndarray, mus: Sequence[OFLike],
 
 def norms_weighted(f: Field, mus: Sequence[OFLike]) -> list[float]:
     """|| op[w_mu] f ||_{L^2(G)} for each mu, from one transform of f."""
-    return coefficient_norms(f.grid, f.coefficients(), mus, f.oscillatory)
+    return coefficient_norms(f.grid, f.coefficients(), mus)
 
 
 def norm_weighted(f: Field, mu: OFLike = 0) -> float:
@@ -271,16 +264,12 @@ def _invert_values(vals: np.ndarray, grid: TorusGrid) -> np.ndarray:
 
 def solve_whole_scalar(P, f: Field, mu: Optional[OFLike] = None,
                        nu: OFLike = 0) -> SolveResult:
-    """u = op[1/P] f with the k=0 slab untouched (it must be absent)."""
-    if not f.oscillatory:
-        raise ValueError("whole-space solves act on oscillatory data")
-    grid = f.grid
-    vals = _symbol_values(P, grid, oscillatory=True)
-    inv = _invert_values(vals, grid)
-    u = Field.from_coefficients(grid, f.coefficients() * inv, oscillatory=True)
-    diag = {"norm_f_nu": norm_weighted(f, nu)}
+    """u = op[1/P] f, the 1x1 system solve, with the norm diagnostics of
+    u and f."""
+    res = solve_whole_system(MatrixSymbol(((P,),)), (f,))
+    u, diag = res.u[0], res.diagnostics
+    diag["norm_f_nu"] = norm_weighted(f, nu)
     if mu is not None:
-        from .polygons import of_add
         diag["norm_u_mu_plus_nu"] = norm_weighted(u, of_add(mu, nu))
         diag["constant"] = (diag["norm_u_mu_plus_nu"] / diag["norm_f_nu"]
                            if diag["norm_f_nu"] > 0 else 0.0)
@@ -290,7 +279,7 @@ def solve_whole_scalar(P, f: Field, mu: Optional[OFLike] = None,
 def system_values(L: MatrixSymbol, grid: TorusGrid) -> tuple:
     """L's entry rows vals[i][j] on the live mesh, each at its own broadcast
     shape (_symbol_values) and each distinct entry object evaluated once."""
-    return L.entry_rows(lambda e: _symbol_values(e, grid, oscillatory=True))
+    return L.entry_rows(lambda e: _symbol_values(e, grid))
 
 
 def system_times(vals: Sequence, coeffs: Sequence[np.ndarray]):
@@ -343,7 +332,7 @@ def system_solve(vals: Sequence, fc: Sequence[np.ndarray],
     del inv, row
     u = []
     while rows:  # each row is dropped once its field is made
-        u.append(Field.from_coefficients(grid, rows.pop(0), oscillatory=True))
+        u.append(Field.from_coefficients(grid, rows.pop(0)))
     return tuple(u)
 
 
@@ -372,7 +361,7 @@ def apply_system(L: MatrixSymbol, u: Sequence[Field]) -> tuple:
         raise ValueError("multipliers act on purely oscillatory fields")
     grid = u[0].grid
     rows = system_times(system_values(L, grid), [uj.coefficients() for uj in u])
-    return tuple(Field.from_coefficients(grid, c, oscillatory=True) for c in rows)
+    return tuple(Field.from_coefficients(grid, c) for c in rows)
 
 
 def solve_whole_system(L: MatrixSymbol, f: Sequence[Field]) -> SolveResult:
@@ -409,9 +398,7 @@ def read_field(path) -> Field:
         T, K, n, N, Lx = _HEADER.unpack(fh.read(_HEADER.size))
         grid = TorusGrid(T=T, K=K, n=n, N=N, Lx=Lx)
         raw = np.frombuffer(fh.read(), dtype=np.complex64)
-    data = raw.reshape(grid.shape).astype(complex)
-    oscillatory = bool(np.all(data[grid.K] == 0))
-    return Field(grid, data, oscillatory=oscillatory)
+    return Field(grid, raw.reshape(grid.shape).astype(complex))
 
 
 def norm_table(grid: TorusGrid, c: np.ndarray,

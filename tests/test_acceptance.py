@@ -206,7 +206,7 @@ def test_acceptance_6_whole_space_solver():
         a = apply_multiplier(us[0], L.entries[i][0])
         b = apply_multiplier(us[1], L.entries[i][1])
         from maxreg.spectral import Field
-        f.append(Field(grid, a.data + b.data, oscillatory=True))
+        f.append(Field(grid, a.data + b.data))
     res_sys = solve_whole_system(L, f)
     assert res_sys.diagnostics["relative_residual"] < 1e-9
     for got, want in zip(res_sys.u, us):

@@ -9,11 +9,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from maxreg.boundary import bc_to_jsonable, neumann_pair_13
+from maxreg.boundary import (
+    bc_to_jsonable,
+    complementing_check,
+    dirichlet_pair,
+    neumann_pair_13,
+)
 from maxreg.cli import _median, main, parse_grid
 from maxreg.factorization import d_symbol
 from maxreg.spectral import Field
-from maxreg.symbols import PolySymbol
+from maxreg.polygons import ZERO_OF, of_const
+from maxreg.symbols import GridSpec, PolySymbol
 
 
 def run(capsys, *argv):
@@ -212,6 +218,44 @@ def test_solve_half_boundary_file_without_chi(capsys, tmp_path):
     for data in reports:
         del data["bc"]
     assert reports[0] == reports[1]
+
+
+def test_check_boundary_file_honours_m_and_nu(capsys, tmp_path):
+    """check boundary FILE certifies B^(m) with the file's nu, as the
+    library does."""
+    nu = of_const(1)
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(bc_to_jsonable(dirichlet_pair(), m=1, nu=nu)))
+    _, rep = run_json(capsys, "check", "boundary", str(path),
+                      "--grid", "n_tau=64,n_xi=64")
+    want = complementing_check(dirichlet_pair(), nu=nu, m=1,
+                               grid=GridSpec(n_tau=64, n_xi=64))
+    data = rep["data"]
+    assert data["det"]["c_lower"] == want["det"].c_lower
+    assert data["complementing_passed"] == want["passed"]
+    assert data["lopatinskii"]["pass"] == want["lopatinskii"]["pass"]
+
+
+@pytest.mark.parametrize("m, nu", [(1, of_const(1)), (0, of_const(1)), (1, ZERO_OF)])
+def test_solve_half_refuses_boundary_file_with_m_or_nu(capsys, tmp_path, m, nu):
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(bc_to_jsonable(neumann_pair_13(), m=m, nu=nu)))
+    code, out, err = run(capsys, "solve", "half", "--grid", "K=2,Nn=64",
+                         "--bc", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {path}: solve half takes only m = 0 and nu = 0")
+
+
+def test_boundary_file_m_must_be_an_integer(capsys, tmp_path):
+    obj = bc_to_jsonable(neumann_pair_13())
+    obj["m"] = 1.5
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", "boundary", str(path))
+    assert code == 1 and out == ""
+    assert err == (f"error: {path}: bad boundary-condition file: "
+                   f"m must be an integer, got 1.5\n")
 
 
 def test_check_unknown_target(capsys):
@@ -414,6 +458,22 @@ def test_non_finite_config_grid_is_one_error_line(capsys, tmp_path, domain, grid
     cfg.write_text(f'{{"grid": {grid}}}')
     code, out, err = run(capsys, "solve", domain, "--config", str(cfg))
     assert code == 1 and out == "" and err == expect
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"grid": [1, 2]}, ("solve", "half")),
+    ({"grid": [1, 2]}, ("check", "ellipticity", "chg-D")),
+    ({"resolutions": 5}, ("probe",)),
+    ({"grid": {"K": True}}, ("solve", "whole")),
+    ({"seed": 1.5}, ("solve", "whole")),
+])
+def test_config_entry_of_wrong_type_is_one_error_line(capsys, tmp_path, config,
+                                                      argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 # --- probe -----------------------------------------------------------------

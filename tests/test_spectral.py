@@ -210,9 +210,9 @@ def test_solve_system_manufactured():
     for i in range(2):
         acc = np.zeros(GRID.shape, complex)
         for j in range(2):
-            acc += _symbol_values(L.entries[i][j], GRID, True) \
+            acc += _symbol_values(L.entries[i][j], GRID) \
                 * u_star[j].coefficients()
-        fc.append(Field.from_coefficients(GRID, acc, oscillatory=True))
+        fc.append(Field.from_coefficients(GRID, acc))
     res = solve_whole_system(L, fc)
     for got, want in zip(res.u, u_star):
         assert np.abs(got.data - want.data).max() / np.abs(want.data).max() < 1e-9
@@ -227,8 +227,8 @@ def test_solve_system_elementary_mode():
     for i in range(2):
         acc = np.zeros(GRID.shape, complex)
         for j in range(2):
-            acc += _symbol_values(L.entries[i][j], GRID, True) * e[j].coefficients()
-        fc.append(Field.from_coefficients(GRID, acc, oscillatory=True))
+            acc += _symbol_values(L.entries[i][j], GRID) * e[j].coefficients()
+        fc.append(Field.from_coefficients(GRID, acc))
     res = solve_whole_system(L, fc)
     for got, want in zip(res.u, e):
         assert np.abs(got.data - want.data).max() < 1e-10
@@ -239,6 +239,33 @@ def test_oscillatory_closure():
     assert apply_multiplier(f, _weight_symbol(of_const(1))).oscillatory
     assert solve_whole_scalar(d_symbol(), f).u.oscillatory
     assert project_oscillatory(f).oscillatory
+
+
+def test_oscillatory_is_read_off_the_k0_slab():
+    """A field is oscillatory exactly when its k = 0 slab is zero; the
+    multiplier and the scalar solve refuse a field that is not."""
+    data = _rand(30).data.copy()
+    f = Field(GRID, data)
+    assert f.oscillatory
+    assert apply_multiplier(f, d_symbol()).oscillatory
+    data[GRID.K, 3] = 1.0
+    g = Field(GRID, data)
+    assert not g.oscillatory
+    with pytest.raises(ValueError, match="purely oscillatory"):
+        apply_multiplier(g, d_symbol())
+    with pytest.raises(ValueError, match="oscillatory data"):
+        solve_whole_scalar(d_symbol(), g)
+
+
+@pytest.mark.parametrize("m", [d_symbol(), 2.5, _weight_symbol(MU_D)])
+def test_scalar_is_the_1x1_system(m):
+    """apply_multiplier and solve_whole_scalar are the 1x1 system, bit for bit."""
+    f = _rand(31)
+    L = MatrixSymbol(((m,),))
+    assert np.array_equal(apply_multiplier(f, m).data, apply_system(L, (f,))[0].data)
+    res = solve_whole_scalar(m, f, mu=MU_D)
+    assert np.array_equal(res.u.data, solve_whole_system(L, (f,)).u[0].data)
+    assert res.diagnostics["relative_residual"] < 1e-12
 
 
 def test_field_io_round_trip(tmp_path):
