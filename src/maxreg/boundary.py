@@ -26,7 +26,6 @@ from .polygons import (
     ZERO_OF,
     as_diff,
     chg_shape,
-    of_add,
     of_neg,
     trace_order_function,
 )
@@ -79,13 +78,7 @@ def dplus_band() -> tuple[SymbolFn, SymbolFn]:
 
 
 def _is_zero_symbol(sym) -> bool:
-    if isinstance(sym, (int, float, complex)):
-        return complex(sym) == 0
-    if isinstance(sym, PolySymbol):
-        return not sym.monomials
-    if isinstance(sym, SymbolFn) and isinstance(sym.fn, PolySymbol):
-        return not sym.fn.monomials
-    return False
+    return isinstance(sym, PolySymbol) and not sym.monomials
 
 
 @dataclass(frozen=True)
@@ -99,11 +92,7 @@ class BoundaryOperator:
     def __post_init__(self):
         if len(self.coeffs) != MAX_TRACE + 1:
             raise ValueError("boundary operator needs 4 trace coefficients")
-        coerced = []
-        for c in self.coeffs:
-            if isinstance(c, (int, float, complex)):
-                c = PolySymbol(1, True, ((complex(c), 0, 0),))
-            coerced.append(as_symbol(c))
+        coerced = [as_symbol(c) for c in self.coeffs]
         if not all(c.radial for c in coerced):
             raise ValueError("boundary operators need radial entries: "
                              "coefficients in tau and |xi'|")
@@ -236,22 +225,24 @@ _NAMED_COEFFS = {
 }
 
 
-def _coeff_to_jsonable(sym: SymbolFn):
+def _coeff_to_jsonable(sym):
+    if isinstance(sym, PolySymbol):
+        return {"poly": sym.to_jsonable()}
     if sym.name in _NAMED_COEFFS:
         return {"ref": sym.name}
-    if isinstance(sym.fn, PolySymbol):
-        return {"poly": sym.fn.to_jsonable()}
     raise ValueError(f"coefficient {sym.name or sym!r} is not serializable")
 
 
 def _coeff_from_jsonable(obj):
+    """A number (BoundaryOperator takes it as the constant symbol), a named
+    D+ coefficient or a PolySymbol."""
     if isinstance(obj, (int, float)):
-        return as_symbol(obj)
+        return obj
     if "ref" in obj:
         return _NAMED_COEFFS[obj["ref"]]()
     if "re" in obj or "im" in obj:
-        return as_symbol(complex(obj.get("re", 0.0), obj.get("im", 0.0)))
-    return as_symbol(PolySymbol.from_jsonable(obj["poly"]))
+        return complex(obj.get("re", 0.0), obj.get("im", 0.0))
+    return PolySymbol.from_jsonable(obj["poly"])
 
 
 def bc_to_jsonable(bc: Sequence[BoundaryOperator], m: int = 0,

@@ -92,12 +92,13 @@ class CliError(Exception):
 _TORUS_KEYS = ("T", "K", "n", "N", "Lx")
 _HALF_KEYS = ("T", "K", "n", "N", "Lx", "Ln", "Nn")
 _GRIDSPEC_KEYS = ("tau_max", "n_tau", "xi_min", "xi_max", "n_xi", "n_dirs")
-# the JSON types a config file may give each entry the commands read; a
-# true or false is not taken for a number
+# every option and argument of the parser (--lambda as "lambda"), with the
+# JSON types a config file may give it; a true or false is not taken for a
+# number
 _CONFIG_TYPES = {"grid": (dict, type(None)), "lambda": (int, float),
                  "seed": int, "format": str, "out": (str, type(None)),
                  "target": str, "what": str, "domain": str,
-                 "bc": (str, type(None)), "probe": bool, "ensemble": int,
+                 "bc": (str, type(None)), "ensemble": int,
                  "resolutions": (str, type(None)), "report": str}
 
 
@@ -142,19 +143,18 @@ def _load_config_file(path):
 
 def build_settings(args):
     """Effective configuration: argparse values overridden by --config."""
-    cfg = {"grid": parse_grid(getattr(args, "grid", None)),
-           "lambda": getattr(args, "lam", 1.0),
-           "seed": getattr(args, "seed", 0),
-           "format": getattr(args, "format", "json-like"),
-           "out": getattr(args, "out", None)}
-    for key in ("target", "what", "domain", "bc", "probe", "ensemble",
-                "resolutions", "report"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    if getattr(args, "config", None):
+    cfg = {}
+    for key in _CONFIG_TYPES:
+        dest = "lam" if key == "lambda" else key
+        if hasattr(args, dest):
+            cfg[key] = getattr(args, dest)
+    cfg["grid"] = parse_grid(cfg["grid"])
+    if args.config:
         file_cfg = _load_config_file(args.config)
         for key, val in file_cfg.items():
-            if key in _CONFIG_TYPES and not _is_json_type(val, _CONFIG_TYPES[key]):
+            if key not in _CONFIG_TYPES:
+                raise CliError(f"config entry {key!r} is not an option")
+            if not _is_json_type(val, _CONFIG_TYPES[key]):
                 raise CliError(f"config entry {key!r} has the wrong type: {val!r}")
             cfg[key] = val
         for key, val in (cfg["grid"] or {}).items():
@@ -412,8 +412,7 @@ def cmd_check(cfg):
         if cfg["target"] == "chg-D":
             floor = min(1.0, float(cfg["lambda"])) / (2.0 * np.sqrt(3.0))
             floor *= 1.0 - 1e-9
-        rep = ellipticity_certify(sym, mu, lam=float(cfg["lambda"]),
-                                  grid=grid, floor=floor)
+        rep = ellipticity_certify(sym, mu, grid=grid, floor=floor)
         data = {"report": rep.to_jsonable(), "mu": _of_jsonable(mu)}
         summary = [f"ellipticity: {'pass' if rep.passed else 'FAIL'} "
                    f"(C = {rep.c_lower:.6g}, floor = {floor:.6g})"]
@@ -448,8 +447,7 @@ def cmd_chg(cfg):
     mu = order_function_of(poly)
     grid = _grid_spec(cfg)
     # certified first: it names the first mesh point where D overflows
-    ell = ellipticity_certify(d_symbol(), MU_D, lam=float(cfg["lambda"]),
-                              grid=grid)
+    ell = ellipticity_certify(d_symbol(), MU_D, grid=grid)
     max_res = factor_residual(grid)
     fc = dplus_coeffs(1.0, 1.0)
     data = {
@@ -514,9 +512,6 @@ def _solve_half(cfg):
     grid = HalfGrid(**kwargs)
     seed = int(cfg["seed"])
     bc_name = cfg.get("bc") or "neumann_13"
-    if cfg.get("probe"):
-        data, summary, _, _ = cmd_probe(cfg)
-        return data, summary, []
     ensemble = int(cfg.get("ensemble") or 0)
     if ensemble < 0:
         raise CliError(f"--ensemble takes a sample count >= 0, not {ensemble}")
@@ -741,8 +736,6 @@ def _build_parser():
     ss.add_argument("--bc", default=None,
                     help="boundary condition for half solves "
                          "(dirichlet | neumann_13 | file)")
-    ss.add_argument("--probe", action="store_true",
-                    help="emit the probe report instead")
     ss.add_argument("--ensemble", type=int, default=0,
                     help="number of random system samples (>= 0; 0 runs "
                          "the scalar solve)")

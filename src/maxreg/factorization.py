@@ -29,7 +29,6 @@ from .symbols import (
     GridSpec,
     MatrixSymbol,
     PolySymbol,
-    SymbolFn,
     _require_finite,
     as_diff,
     mesh_axes,
@@ -71,17 +70,6 @@ def adj_chg_matrix(n: int = 1) -> MatrixSymbol:
     a21 = PolySymbol(n, True, ((1j, 1, 0), (1.0, 0, 2)))
     a22 = PolySymbol(n, True, ((1j, 1, 0),))
     return MatrixSymbol(((a11, a12), (a21, a22)))
-
-
-def chg_symbols(n: int = 1) -> dict:
-    return {
-        "D": SymbolFn(fn=d_symbol(n), order=as_diff(MU_D), radial=True, n=n, name="chg-D"),
-        "L": chg_matrix(n),
-        "adjL": adj_chg_matrix(n),
-        "mu_D": MU_D,
-        "mu_plus": MU_PLUS,
-        "mu_minus": MU_MINUS,
-    }
 
 
 @dataclass(frozen=True)
@@ -183,15 +171,12 @@ def factor_residual(grid: GridSpec = GridSpec()) -> float:
     return float((np.abs(D - prod) / (1.0 + np.abs(D))).max())
 
 
-def root_bounds_check(lam: float = 1.0, grid: GridSpec = GridSpec()):
-    """Two-sided comparison of |rho_1| with W_{o_{1/2}} and |rho_2| with W_{o_0}."""
-    from dataclasses import replace
-
+def root_bounds_check(grid: GridSpec = GridSpec()):
+    """Two-sided comparison of |rho_1| with W_{o_{1/2}} and |rho_2| with W_{o_0},
+    for |tau| >= grid.lam."""
     from .polygons import weight_eval
     from .symbols import CertReport
 
-    if lam != grid.lam:
-        grid = replace(grid, lam=lam)
     tau, xip = mesh_axes(grid)
     rq = roots(tau, xip)
     w_half = weight_eval(O_HALF, tau, xip)

@@ -490,8 +490,11 @@ def derivative_matrix(nn: int, h: float, order: int) -> np.ndarray:
 
     Sample i is differentiated on the window lo .. lo + npts - 1 with
     lo = clip(i - npts // 2, 0, nn - npts), by the row W[i - lo]: every
-    interior sample takes the centred row W[npts // 2]."""
-    npts = min(order + 4 + (order + 4) % 2 - 1, nn)  # odd stencil size
+    interior sample takes the row W[npts // 2].  A window of order + 4
+    points makes every row 4th-order accurate, the one-sided edge rows
+    included; for an even order the interior row is the centred
+    (order + 3)-point stencil, its first weight 0 up to rounding."""
+    npts = min(order + 4, nn)
     return np.stack([fd_weights((np.arange(npts) - r) * h, 0.0, order)[:, order]
                      for r in range(npts)])
 
@@ -550,8 +553,7 @@ def apply_poly_operator(f: HalfField, coeff_fn: Callable) -> HalfField:
 
 
 def apply_symbol(f: HalfField, sym) -> HalfField:
-    """Forward op[P] for a radial polynomial symbol P (a PolySymbol, or a
-    SymbolFn wrapping one), with xi_n -> -i d/dx_n."""
+    """Forward op[P] for a radial PolySymbol P, with xi_n -> -i d/dx_n."""
     return apply_poly_operator(f, normal_coeffs(sym))
 
 

@@ -12,13 +12,13 @@ on which the symbols below may degenerate.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .polygons import OFLike, as_diff, of_add, smooth_weight_eval
-from .symbols import MatrixSymbol, SymbolFn, as_symbol, det_values
+from .symbols import MatrixSymbol, as_symbol, det_values
 
 
 def require_integers(grid, *names) -> None:

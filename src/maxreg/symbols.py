@@ -1,18 +1,17 @@
 """Scalar and matrix symbols on (tau, xi) with grid-based certification.
 
 Symbols are either explicit polynomials (PolySymbol, with exact exponent
-sets) or plain evaluation maps (SymbolFn) carrying a declared upper order
-function.  Certification evaluates |P|/W_mu over a wide logarithmic grid;
-the reported constants are grid-relative evidence, not proofs.
+sets) or plain evaluation maps (SymbolFn).  Certification evaluates
+|P|/W_mu over a wide logarithmic grid; the reported constants are
+grid-relative evidence, not proofs.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .polygons import (
     OrderFunctionDiff,
     QPoint,
     as_diff,
-    frac,
     of_add,
     polygon_from_exponents,
     qpoint,
@@ -114,10 +112,9 @@ class PolySymbol:
 
 @dataclass(frozen=True)
 class SymbolFn:
-    """A pure evaluation map (tau, xi) -> complex with a declared upper order."""
+    """A pure evaluation map (tau, xi) -> complex that is not a polynomial."""
 
     fn: Callable
-    order: Optional[OrderFunctionDiff] = None
     radial: bool = True
     n: int = 1
     name: str = ""
@@ -130,17 +127,16 @@ class SymbolFn:
 
 
 def normal_coeffs(sym) -> Callable:
-    """A radial symbol read as an ODE in x_n: (tau, |xi'|) -> (c_0, ..., c_d).
+    """A radial PolySymbol read as an ODE in x_n: (tau, |xi'|) -> (c_0, ..., c_d).
 
     Expands |xi|^2 = |xi'|^2 + xi_n^2 and maps xi_n^j -> (-i d/dx_n)^j, so
     that P(tau, xi) acts on a column as sum_j c_j(tau, |xi'|) d^j/dx_n^j.
     The expansion is done once, here; the returned map only evaluates it.
     """
-    poly = sym.fn if isinstance(sym, SymbolFn) else sym
-    if not isinstance(poly, PolySymbol) or not poly.radial:
+    if not isinstance(sym, PolySymbol) or not sym.radial:
         raise ValueError("normal coefficients need a radial PolySymbol")
     table: dict = {}  # j -> [(coeff, tau power, |xi'| power)]
-    for coeff, i, a in poly.monomials:
+    for coeff, i, a in sym.monomials:
         if a < 0 or a % 2:
             raise ValueError(f"|xi|^{a} is not a polynomial in xi_n")
         # |xi|^a = sum_l C(a/2, l) |xi'|^(a-2l) xi_n^(2l), and (-i)^(2l) = (-1)^l
@@ -155,25 +151,18 @@ def normal_coeffs(sym) -> Callable:
     return coeffs
 
 
-def as_symbol(sym, order: Optional[OFLike] = None) -> SymbolFn:
-    if isinstance(sym, SymbolFn):
-        if order is not None and sym.order is None:
-            return replace(sym, order=as_diff(order))
+def as_symbol(sym) -> Union[PolySymbol, SymbolFn]:
+    """A symbol as given, or a number as the constant PolySymbol."""
+    if isinstance(sym, (PolySymbol, SymbolFn)):
         return sym
-    if isinstance(sym, PolySymbol):
-        return SymbolFn(fn=sym, radial=sym.radial, n=sym.n,
-                        order=None if order is None else as_diff(order))
     if isinstance(sym, (int, float, complex)):
-        c = complex(sym)
-        return SymbolFn(fn=lambda tau, xi, c=c: np.asarray(c),  # 0-d
-                        order=None if order is None else as_diff(order),
-                        name=str(sym))
+        return PolySymbol(1, True, ((complex(sym), 0, 0),))
     raise TypeError(f"cannot interpret {sym!r} as a symbol")
 
 
 @dataclass(frozen=True)
 class MatrixSymbol:
-    entries: tuple[tuple[SymbolFn, ...], ...]
+    entries: tuple[tuple[Union[PolySymbol, SymbolFn], ...], ...]
     row_orders: Optional[tuple[OrderFunctionDiff, ...]] = None  # s_i
     col_orders: Optional[tuple[OrderFunctionDiff, ...]] = None  # t_j
 
@@ -266,15 +255,14 @@ def det_values(rows) -> np.ndarray:
     return np.zeros((), complex) if out is None else np.asarray(out)
 
 
-def det(M: MatrixSymbol) -> SymbolFn:
-    if M.m == 1:  # the entry itself, bit for bit
-        return replace(M.entries[0][0], order=M.delta())
+def det(M: MatrixSymbol) -> Union[PolySymbol, SymbolFn]:
+    if M.m == 1:
+        return M.entries[0][0]
 
     def fn(tau, xi, M=M):
         return det_values(M.evaluate(tau, xi))
-    return SymbolFn(fn=fn, order=M.delta(),
-                    radial=all(e.radial for row in M.entries for e in row),
-                    name="det")
+    return SymbolFn(fn=fn, name="det",
+                    radial=all(e.radial for row in M.entries for e in row))
 
 
 def _minor(M: MatrixSymbol, i: int, j: int) -> MatrixSymbol:
@@ -398,7 +386,7 @@ def _require_finite(vals: np.ndarray, tau: np.ndarray, xi: np.ndarray,
             f"{what} not finite at tau={pt['tau']}, |xi|={pt['xi']}")
 
 
-def _sample_ratio(sym: SymbolFn, mu: OrderFunctionDiff, grid: GridSpec):
+def _sample_ratio(sym, mu: OrderFunctionDiff, grid: GridSpec):
     """|P|/W_mu over the grid; returns (tau axis, |xi| axis, ratio)."""
     tau, xi = mesh_axes(grid)
     shape = np.broadcast(tau, xi).shape
@@ -473,10 +461,9 @@ def upper_bound_certify(sym, mu: OFLike, grid: GridSpec = GridSpec()) -> CertRep
     return _upper_report(tau, xi, ratio, grid)
 
 
-def ellipticity_certify(sym, mu: OFLike, lam: Optional[float] = None,
-                        grid: GridSpec = GridSpec(), floor: float = 0.0) -> CertReport:
-    if lam is not None and lam != grid.lam:
-        grid = replace(grid, lam=lam)
+def ellipticity_certify(sym, mu: OFLike, grid: GridSpec = GridSpec(),
+                        floor: float = 0.0) -> CertReport:
+    """N-ellipticity of sym for mu on the grid, for |tau| >= grid.lam."""
     tau, xi, ratio = _sample_ratio(as_symbol(sym), as_diff(mu), grid)
     return _ellipticity_report(tau, xi, ratio, grid, floor)
 

@@ -100,7 +100,7 @@ def test_acceptance_1_polygon_exactness():
 def test_acceptance_2_ellipticity_constant():
     floor = 1.0 / (2.0 * np.sqrt(3.0))
     rep, best = _elapsed(lambda: ellipticity_certify(
-        d_symbol(), MU_D, lam=1.0, floor=floor * (1 - 1e-12)))
+        d_symbol(), MU_D, floor=floor * (1 - 1e-12)))
     assert best < 1.0
     assert rep.passed  # zero violations: the min over the grid clears the bar
     assert rep.c_lower >= floor * (1 - 1e-12)

@@ -405,10 +405,23 @@ def test_bc_file_round_trip():
     assert len(ops) == 2
     for a, b in zip(ops, bc):
         assert a.chi == b.chi
+        assert a.coeffs == b.coeffs
         for ca, cb in zip(a.coeffs, b.coeffs):
             assert ca(3.0, 2.0) == pytest.approx(cb(3.0, 2.0))
     import json
     json.dumps(obj)  # representation is pure JSON
+
+
+def test_bc_file_numbers_are_constant_symbols():
+    """A number in a file reads as the constant symbol BoundaryOperator makes
+    of it, so a 0 counts as zero when the leading trace is taken."""
+    obj = {"ops": [{"coeffs": [0, 1, 0, 0]},
+                   {"coeffs": [0.0, 0, 0, {"re": 1.0, "im": 0.0}]}],
+           "nu": ZERO_OF.to_jsonable()}
+    ops, _, _ = bc_from_jsonable(obj)
+    assert ops[0].coeffs == trace_operator(1).coeffs
+    assert ops[1].coeffs == trace_operator(3).coeffs
+    assert [op.leading_trace() for op in ops] == [1, 3]
 
 
 def test_boundary_operator_evaluate_at_root():

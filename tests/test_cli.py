@@ -1,5 +1,6 @@
 """Tests for the command-line driver: exit codes, determinism, formats."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from maxreg.boundary import (
     dirichlet_pair,
     neumann_pair_13,
 )
-from maxreg.cli import _median, main, parse_grid
+from maxreg.cli import _CONFIG_TYPES, _build_parser, _median, main, parse_grid
 from maxreg.factorization import d_symbol
 from maxreg.spectral import Field
 from maxreg.polygons import ZERO_OF, of_const
@@ -476,6 +477,29 @@ def test_config_entry_of_wrong_type_is_one_error_line(capsys, tmp_path, config,
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("config, key", [({"foo": 1}, "foo"),
+                                         ({"probe": True}, "probe")])
+def test_config_entry_that_is_no_option_is_one_error_line(capsys, tmp_path,
+                                                          config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, "solve", "half", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: config entry {key!r} is not an option\n"
+
+
+def test_config_types_name_every_parser_option():
+    """Each option or argument of any subcommand (--lambda as "lambda") has
+    a config entry, and each config entry is one of them."""
+    parser = _build_parser()
+    subparsers, = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    dests = {"lambda" if a.dest == "lam" else a.dest
+             for sub in subparsers.choices.values() for a in sub._actions
+             if not isinstance(a, argparse._HelpAction)}
+    assert dests - {"config"} == set(_CONFIG_TYPES)
+
+
 # --- probe -----------------------------------------------------------------
 
 
@@ -488,24 +512,12 @@ def test_probe_growth_table(capsys):
     assert all(r["cond_contrast"] > 1.0 for r in rows)
 
 
-def test_solve_half_probe_flag(capsys, tmp_path):
-    # --probe on solve half emits the same growth table shape
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"resolutions": "8:64,16:64"}))
-    code, rep = run_json(capsys, "solve", "half", "--probe",
-                         "--config", str(cfg))
-    assert code == 0
-    assert [r["K"] for r in rep["data"]["rows"]] == [8, 16]
-
-
-def test_solve_half_probe_is_the_probe_report(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"resolutions": "8:64,16:64"}))
-    _, solve = run_json(capsys, "solve", "half", "--probe",
-                        "--config", str(cfg))
-    _, probe = run_json(capsys, "probe", "--resolutions", "8:64,16:64")
-    assert solve["data"] == probe["data"]
-    assert solve["summary"] == probe["summary"]
+def test_solve_half_refuses_probe_flag(capsys):
+    """The probe report has one route, `maxreg probe`."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "half", "--probe"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --probe" in capsys.readouterr().err
 
 
 # --- export ----------------------------------------------------------------

@@ -141,7 +141,7 @@ def test_z_func_real_part_limit():
 
 
 def test_root_bounds_report():
-    rep = root_bounds_check(lam=1.0)
+    rep = root_bounds_check()
     assert rep.passed
     assert rep.details["rho1_over_Wohalf"]["min"] > 0.3
     assert rep.details["rho2_over_Wozero"]["min"] > 0.5
@@ -156,6 +156,5 @@ def test_roots_reject_tau_zero():
 def test_d_symbol_ellipticity_scales_with_lambda():
     """C_lambda = min(1, lam)/(2 sqrt 3) is a valid lower bound for small lam."""
     for lam in (0.1, 1.0, 10.0):
-        rep = ellipticity_certify(as_symbol(d_symbol()), MU_D, lam=lam,
-                                  grid=GridSpec(lam=lam))
+        rep = ellipticity_certify(as_symbol(d_symbol()), MU_D, grid=GridSpec(lam=lam))
         assert rep.c_lower >= min(1.0, lam) / (2.0 * np.sqrt(3.0))

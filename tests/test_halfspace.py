@@ -598,6 +598,23 @@ def test_derivative_matrix_matches_dense_rows(order):
     assert np.abs(halfspace._differentiate(cols, W) - dense).max() < 1e-12 * np.abs(dense).max()
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_derivative_matrix_edge_rows_are_fourth_order(order):
+    """Halving h shrinks the error of every one-sided edge row by 2^3.5 or
+    more, on e^{-0.7x} cos(1.3x) over [0, 10]."""
+    z = complex(-0.7, 1.3)
+
+    def edge_errors(nn):
+        x = np.linspace(0.0, 10.0, nn)
+        W = derivative_matrix(nn, x[1] - x[0], order)
+        half = len(W) // 2
+        err = np.abs(halfspace._differentiate(np.exp(z * x).real, W)
+                     - (z ** order * np.exp(z * x)).real)
+        return np.concatenate([err[:half], err[nn - len(W) + half + 1:]])
+
+    assert np.all(edge_errors(201) / edge_errors(401) >= 2 ** 3.5)
+
+
 def test_derivative_matrix_is_compact(monkeypatch):
     """npts rows from npts Fornberg solves, whatever the number of samples."""
     calls, fd_weights = [], halfspace.fd_weights

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxreg.factorization import MU_D, adj_chg_matrix, chg_matrix, chg_symbols, d_symbol
+from maxreg.factorization import MU_D, adj_chg_matrix, chg_matrix, d_symbol
 from maxreg.polygons import (
     as_diff,
     o_elem,
@@ -31,6 +31,7 @@ from maxreg.symbols import (
     ellipticity_certify,
     mesh_axes,
     mixed_order_certify,
+    normal_coeffs,
     sample_matrix,
     upper_bound_certify,
 )
@@ -131,6 +132,27 @@ def test_det_of_one_by_one_is_its_entry():
     tau, xi = mesh_axes(GridSpec(n_tau=16, n_xi=16))
     np.testing.assert_array_equal(det(MatrixSymbol(((e,),)))(tau, xi),
                                   e(tau, xi))
+
+
+def test_polynomial_entries_are_kept_as_given():
+    p = PolySymbol(1, True, ((0.3 + 1.7j, 1, 2),))
+    M = MatrixSymbol(((p,),))
+    assert M.entries[0][0] is p
+    assert det(M) is p
+
+
+def test_number_is_the_constant_polynomial():
+    c = as_symbol(2.5)
+    assert c == PolySymbol(1, True, ((2.5, 0, 0),))
+    tau, xi = mesh_axes(GridSpec(n_tau=16, n_xi=16))
+    val = c(tau, xi)
+    assert val.shape == () and val == 2.5
+
+
+def test_normal_coeffs_takes_only_a_polynomial():
+    """A SymbolFn is an evaluation map, even one that wraps a polynomial."""
+    with pytest.raises(ValueError):
+        normal_coeffs(SymbolFn(fn=d_symbol()))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -248,7 +270,7 @@ def test_identity_matrix_det_adj():
 
 
 def test_upper_bound_d():
-    rep = upper_bound_certify(chg_symbols()["D"], MU_D)
+    rep = upper_bound_certify(d_symbol(), MU_D)
     assert rep.passed and rep.c_upper <= 2.0
 
 
@@ -265,25 +287,25 @@ def test_upper_bound_l21():
 
 
 def test_ellipticity_d_reference_constant():
-    rep = ellipticity_certify(chg_symbols()["D"], MU_D, lam=1.0)
+    rep = ellipticity_certify(d_symbol(), MU_D)
     assert rep.passed
     assert rep.c_lower >= 1.0 / (2.0 * np.sqrt(3.0))
 
 
 def test_ellipticity_constant_symbol():
-    rep = ellipticity_certify(as_symbol(1), as_diff(0), lam=2.0)
+    rep = ellipticity_certify(as_symbol(1), as_diff(0), grid=GridSpec(lam=2.0))
     assert rep.c_lower == pytest.approx(1.0)
 
 
 def test_ellipticity_itau():
     itau = PolySymbol(1, True, ((1j, 1, 0),))
     mu = of_linear(0, 1)  # mu(gamma) = gamma
-    rep = ellipticity_certify(as_symbol(itau), mu, lam=1.0)
+    rep = ellipticity_certify(as_symbol(itau), mu)
     assert rep.passed and rep.c_lower >= 0.5
 
 
 def test_certification_monotone_in_grid():
-    sym = chg_symbols()["D"]
+    sym = d_symbol()
     small = GridSpec(n_tau=16, n_xi=16)
     big = GridSpec(n_tau=64, n_xi=64)
     lo_small = ellipticity_certify(sym, MU_D, grid=small).c_lower
