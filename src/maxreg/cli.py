@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -92,14 +93,6 @@ class CliError(Exception):
 _TORUS_KEYS = ("T", "K", "n", "N", "Lx")
 _HALF_KEYS = ("T", "K", "n", "N", "Lx", "Ln", "Nn")
 _GRIDSPEC_KEYS = ("tau_max", "n_tau", "xi_min", "xi_max", "n_xi", "n_dirs")
-# every option and argument of the parser (--lambda as "lambda"), with the
-# JSON types a config file may give it; a true or false is not taken for a
-# number
-_CONFIG_TYPES = {"grid": (dict, type(None)), "lambda": (int, float),
-                 "seed": int, "format": str, "out": (str, type(None)),
-                 "target": str, "what": str, "domain": str,
-                 "bc": (str, type(None)), "ensemble": int,
-                 "resolutions": (str, type(None)), "report": str}
 
 
 def _is_json_type(val, types) -> bool:
@@ -127,6 +120,52 @@ def parse_grid(text):
     return out
 
 
+class _Option(NamedTuple):
+    """A flag --NAME: its default, its argparse type (None keeps the
+    string) and the JSON types a config file may give it; a true or false
+    is not taken for a number."""
+    default: object
+    help: str
+    parse: object = None
+    json: object = (str, type(None))
+    choices: tuple = None
+    count: str = None  # what the flag counts, for one that must be >= 0
+
+
+_OPTIONS = {
+    # argparse passes a string default through parse_grid too, so each run
+    # gets its own {}
+    "grid": _Option("", "grid overrides, e.g. K=32,Nn=256", parse_grid,
+                    (dict, type(None))),
+    "lambda": _Option(1.0, "low-frequency cutoff for certifications", float,
+                      (int, float)),
+    "seed": _Option(0, "random seed (>= 0)", int, int, count="an integer"),
+    "bc": _Option(None, "boundary condition (dirichlet | neumann_13 | file; "
+                        "neumann_13 if unset)"),
+    "ensemble": _Option(0, "number of random system samples (>= 0; 0 runs "
+                           "the scalar solve)", int, int, count="a sample count"),
+    "resolutions": _Option(None, "comma list of K:Nn pairs, e.g. 16:256,32:256"),
+    "out": _Option(None, "write the report here instead of stdout"),
+    "format": _Option("json-like", "report format", json=str,
+                      choices=("json-like", "csv")),
+    "config": _Option(None, "JSON file whose entries override this "
+                            "command's flags"),
+}
+
+# the flags each command reads; the parser, the entries a config file may
+# set and the report's config block all follow from these lists
+_EVERY_COMMAND = ("out", "format", "config")
+_COMMAND_OPTIONS = {
+    "polygon": (),
+    "check": ("grid", "lambda", "seed"),
+    "chg": ("grid", "lambda"),
+    "solve whole": ("grid", "seed"),
+    "solve half": ("grid", "seed", "bc", "ensemble"),
+    "probe": ("resolutions",),
+    "export": (),
+}
+
+
 def _load_config_file(path):
     try:
         with open(path) as fh:
@@ -142,40 +181,43 @@ def _load_config_file(path):
 
 
 def build_settings(args):
-    """Effective configuration: argparse values overridden by --config."""
-    cfg = {}
-    for key in _CONFIG_TYPES:
-        dest = "lam" if key == "lambda" else key
-        if hasattr(args, dest):
-            cfg[key] = getattr(args, dest)
-    cfg["grid"] = parse_grid(cfg["grid"])
+    """Effective configuration: the command's arguments and flags, its
+    flags overridden by --config."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("cmd", "config")}
     if args.config:
-        file_cfg = _load_config_file(args.config)
-        for key, val in file_cfg.items():
-            if key not in _CONFIG_TYPES:
+        for key, val in _load_config_file(args.config).items():
+            # cfg holds this command's flags and positionals; a config file
+            # sets only the flags
+            if key not in cfg or key not in _OPTIONS:
                 raise CliError(f"config entry {key!r} is not an option")
-            if not _is_json_type(val, _CONFIG_TYPES[key]):
+            if not _is_json_type(val, _OPTIONS[key].json):
                 raise CliError(f"config entry {key!r} has the wrong type: {val!r}")
             cfg[key] = val
-        for key, val in (cfg["grid"] or {}).items():
+        for key, val in (cfg.get("grid") or {}).items():
             if not _is_json_type(val, (int, float)):
                 raise CliError(f"grid {key} must be a number, got {val!r}")
-    if cfg["format"] not in ("json-like", "csv"):
-        raise CliError(f"unknown format {cfg['format']!r}")
+    for key, val in cfg.items():
+        opt = _OPTIONS.get(key)
+        if opt and opt.choices and val not in opt.choices:
+            raise CliError(f"unknown {key} {val!r}")
+        if opt and opt.count and val < 0:
+            raise CliError(f"--{key} takes {opt.count} >= 0, not {val}")
     return cfg
 
 
 def _grid_kwargs(cfg, allowed):
-    grid = cfg.get("grid") or {}
+    grid = cfg["grid"] or {}
     bad = set(grid) - set(allowed)
     if bad:
         raise CliError(f"unknown grid key(s): {', '.join(sorted(bad))}")
     return dict(grid)
 
 
-def _grid_spec(cfg):
+def _grid_spec(cfg, seed=0):
+    """The certification grid of --grid and --lambda; seed draws the xi
+    directions of a non-radial symbol."""
     kwargs = _grid_kwargs(cfg, _GRIDSPEC_KEYS)
-    return GridSpec(lam=float(cfg["lambda"]), seed=int(cfg["seed"]), **kwargs)
+    return GridSpec(lam=float(cfg["lambda"]), seed=seed, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +340,7 @@ def _publish(files):
 def emit(report, cfg, files=()):
     """Write the report (to cfg["out"], or else to stdout) and the files."""
     text = render_report(report, cfg["format"])
-    if cfg.get("out"):
+    if cfg["out"]:
         path = cfg["out"]
         if os.path.isdir(path):
             ext = "csv" if cfg["format"] == "csv" else "json"
@@ -404,7 +446,7 @@ _CERT_KEYS = ("delta", "det", "decay_witness", "worst_slope")
 
 def cmd_check(cfg):
     what = cfg["what"]
-    grid = _grid_spec(cfg)
+    grid = _grid_spec(cfg, cfg["seed"])
     if what == "ellipticity":
         sym = load_poly_symbol(cfg["target"])
         mu = order_function_of(sym.newton_polygon())
@@ -425,21 +467,20 @@ def cmd_check(cfg):
         data = {k: out[k] for k in ("passed", "entries", *_CERT_KEYS)}
         summary = [f"mixed-order: {'pass' if out['passed'] else 'FAIL'}"]
         return data, summary, out["passed"], []
-    if what == "boundary":
-        bc, m, nu = load_boundary_pair(cfg["target"])
-        out = complementing_check(bc, nu=nu, m=m, grid=grid)
-        passed = bool(out["passed"] and out["lopatinskii"]["pass"])
-        data = {"complementing_passed": out["passed"],
-                **{k: out[k] for k in ("lopatinskii", *_CERT_KEYS)}}
-        ls = "pass" if out["lopatinskii"]["pass"] else "FAIL"
-        comp = "pass" if out["passed"] else "FAIL"
-        summary = [f"lopatinskii: {ls}", f"complementing: {comp}"]
-        if not out["passed"] and out["decay_witness"] is not None:
-            w = out["decay_witness"]
-            summary.append(f"witness ray |xi'| = {w['ray_xi']:.6g}, "
-                           f"slope = {w['slope']:.4g}")
-        return data, summary, passed, []
-    raise CliError(f"unknown check {what!r}")
+    # what == "boundary"
+    bc, m, nu = load_boundary_pair(cfg["target"])
+    out = complementing_check(bc, nu=nu, m=m, grid=grid)
+    passed = bool(out["passed"] and out["lopatinskii"]["pass"])
+    data = {"complementing_passed": out["passed"],
+            **{k: out[k] for k in ("lopatinskii", *_CERT_KEYS)}}
+    ls = "pass" if out["lopatinskii"]["pass"] else "FAIL"
+    comp = "pass" if out["passed"] else "FAIL"
+    summary = [f"lopatinskii: {ls}", f"complementing: {comp}"]
+    if not out["passed"] and out["decay_witness"] is not None:
+        w = out["decay_witness"]
+        summary.append(f"witness ray |xi'| = {w['ray_xi']:.6g}, "
+                       f"slope = {w['slope']:.4g}")
+    return data, summary, passed, []
 
 
 def cmd_chg(cfg):
@@ -474,7 +515,7 @@ def cmd_chg(cfg):
 def _solve_whole(cfg):
     kwargs = _grid_kwargs(cfg, _TORUS_KEYS)
     grid = TorusGrid(**kwargs)
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     u_star = tuple(random_band_limited_field(grid, seed=seed + i) for i in range(2))
     # one evaluation of L makes f, solves and takes the residual; f stays in
     # coefficients, and u's norms come from the residual's transform of u
@@ -510,11 +551,9 @@ def _median(xs):
 def _solve_half(cfg):
     kwargs = _grid_kwargs(cfg, _HALF_KEYS)
     grid = HalfGrid(**kwargs)
-    seed = int(cfg["seed"])
-    bc_name = cfg.get("bc") or "neumann_13"
-    ensemble = int(cfg.get("ensemble") or 0)
-    if ensemble < 0:
-        raise CliError(f"--ensemble takes a sample count >= 0, not {ensemble}")
+    seed = cfg["seed"]
+    bc_name = cfg["bc"] or "neumann_13"
+    ensemble = cfg["ensemble"]
     if ensemble:
         zero_g = np.zeros(grid.col_shape, complex)
         ratios = []
@@ -562,14 +601,10 @@ def _solve_half(cfg):
 
 
 def cmd_solve(cfg):
-    if cfg["domain"] == "whole":
-        data, summary, fields = _solve_whole(cfg)
-    elif cfg["domain"] == "half":
-        data, summary, fields = _solve_half(cfg)
-    else:
-        raise CliError(f"unknown domain {cfg['domain']!r}")
+    solve = _solve_whole if cfg["domain"] == "whole" else _solve_half
+    data, summary, fields = solve(cfg)
     files = []
-    out = cfg.get("out")
+    out = cfg["out"]
     if out and fields:
         # DIR/u1.field when --out names a directory DIR, else OUT.u1.field
         stem = os.path.join(out, "") if os.path.isdir(out) else f"{out}."
@@ -583,16 +618,18 @@ def cmd_solve(cfg):
 def _parse_resolutions(text):
     out = []
     for item in text.split(","):
-        k, sep, nn = item.partition(":")
-        if not sep:
-            raise CliError(f"bad resolution {item!r}: expected K:Nn")
-        out.append((int(k), int(nn)))
+        k, _, nn = item.partition(":")
+        try:
+            out.append((int(k), int(nn)))
+        except ValueError:
+            raise CliError(f"bad resolution {item!r}: expected K:Nn with "
+                           f"integers K and Nn") from None
     return out
 
 
 def cmd_probe(cfg):
     resolutions = None
-    if cfg.get("resolutions"):
+    if cfg["resolutions"]:
         resolutions = _parse_resolutions(cfg["resolutions"])
     rows = dirichlet_failure_probe(resolutions)
     growth = rows[-1]["trace_norm_T2"] / rows[0]["trace_norm_T2"]
@@ -646,7 +683,7 @@ def cmd_export(cfg):
     data = report.get("data", {})
     if not isinstance(data, dict):
         raise CliError("report entry 'data' must be a JSON object")
-    out_dir = cfg.get("out") or "export"
+    out_dir = cfg["out"] or "export"
     files = {}
 
     def table(name, header, rows):
@@ -697,57 +734,42 @@ def cmd_export(cfg):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--grid", default=None,
-                        help="grid overrides, e.g. K=32,Nn=256")
-    common.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                        help="low-frequency cutoff for certifications")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", default=None,
-                        help="write the report here instead of stdout")
-    common.add_argument("--format", choices=("json-like", "csv"),
-                        default="json-like")
-    common.add_argument("--config", default=None,
-                        help="JSON file whose entries override flags")
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises CliError: one error line and exit code 1, as
+    for any other bad input."""
 
-    p = argparse.ArgumentParser(
-        prog="maxreg",
-        description="Newton-polygon calculus and time-periodic solvers "
-                    "for the Cahn-Hilliard-Gurtin system")
+    def error(self, message):
+        raise CliError(message)
+
+
+def _build_parser():
+    p = _Parser(prog="maxreg",
+                description="Newton-polygon calculus and time-periodic solvers "
+                            "for the Cahn-Hilliard-Gurtin system")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    sp = sub.add_parser("polygon", parents=[common],
-                        help="Newton polygon and order-function report")
-    sp.add_argument("target", help="builtin name (chg-D) or symbol JSON file")
+    def command(subparsers, name, help):
+        parser = subparsers.add_parser(name.split()[-1], help=help)
+        for key in (*_COMMAND_OPTIONS[name], *_EVERY_COMMAND):
+            opt = _OPTIONS[key]
+            parser.add_argument(f"--{key}", default=opt.default, type=opt.parse,
+                                choices=opt.choices, help=opt.help)
+        return parser
 
-    sc = sub.add_parser("check", parents=[common],
-                        help="run a certification (exit 2 on failure)")
+    command(sub, "polygon", "Newton polygon and order-function report"
+            ).add_argument("target", help="builtin name (chg-D) or symbol JSON file")
+    sc = command(sub, "check", "run a certification (exit 2 on failure)")
     sc.add_argument("what", choices=("ellipticity", "mixed-order", "boundary"))
     sc.add_argument("target",
                     help="chg-D | chg-L | dirichlet | neumann_13 | file")
-
-    sub.add_parser("chg", parents=[common],
-                   help="report the standard CHG objects")
-
-    ss = sub.add_parser("solve", parents=[common],
-                        help="manufactured solve with norm tables")
-    ss.add_argument("domain", choices=("whole", "half"))
-    ss.add_argument("--bc", default=None,
-                    help="boundary condition for half solves "
-                         "(dirichlet | neumann_13 | file)")
-    ss.add_argument("--ensemble", type=int, default=0,
-                    help="number of random system samples (>= 0; 0 runs "
-                         "the scalar solve)")
-
-    spr = sub.add_parser("probe", parents=[common],
-                         help="borderline Dirichlet datum growth table")
-    spr.add_argument("--resolutions", default=None,
-                     help="comma list of K:Nn pairs, e.g. 16:256,32:256")
-
-    se = sub.add_parser("export", parents=[common],
-                        help="expand a JSON report into a CSV bundle")
-    se.add_argument("report", help="report file produced by this tool")
+    command(sub, "chg", "report the standard CHG objects")
+    domains = sub.add_parser("solve", help="manufactured solve with norm tables"
+                             ).add_subparsers(dest="domain", required=True)
+    command(domains, "solve whole", "whole-space CHG system solve")
+    command(domains, "solve half", "half-space scalar solve, or a system ensemble")
+    command(sub, "probe", "borderline Dirichlet datum growth table")
+    command(sub, "export", "expand a JSON report into a CSV bundle"
+            ).add_argument("report", help="report file produced by this tool")
     return p
 
 
@@ -762,9 +784,8 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = build_settings(args)
         # floating-point faults raise FloatingPointError, an ArithmeticError
         with np.errstate(over="raise", divide="raise", invalid="raise"):

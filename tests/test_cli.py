@@ -16,7 +16,7 @@ from maxreg.boundary import (
     dirichlet_pair,
     neumann_pair_13,
 )
-from maxreg.cli import _CONFIG_TYPES, _build_parser, _median, main, parse_grid
+from maxreg.cli import _build_parser, _median, main, parse_grid
 from maxreg.factorization import d_symbol
 from maxreg.spectral import Field
 from maxreg.polygons import ZERO_OF, of_const
@@ -421,6 +421,24 @@ def test_negative_ensemble_is_one_error_line(capsys, recwarn):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize("argv, config", [
+    (("solve", "half", "--seed", "-1"), None),
+    (("solve", "whole", "--seed", "-1"), None),
+    (("check", "boundary", "neumann_13", "--seed", "-1"), None),
+    (("solve", "whole"), {"seed": -1}),
+])
+def test_negative_seed_is_one_error_line(capsys, tmp_path, argv, config):
+    """A negative seed is named, from a flag or a config file, before
+    numpy's random generator refuses it."""
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ("--config", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: --seed takes an integer >= 0, not -1\n"
+
+
 def test_median_is_numpy_median():
     rng = np.random.default_rng(0)
     for n in range(1, 8):
@@ -488,16 +506,79 @@ def test_config_entry_that_is_no_option_is_one_error_line(capsys, tmp_path,
     assert err == f"error: config entry {key!r} is not an option\n"
 
 
-def test_config_types_name_every_parser_option():
-    """Each option or argument of any subcommand (--lambda as "lambda") has
-    a config entry, and each config entry is one of them."""
-    parser = _build_parser()
-    subparsers, = [a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    dests = {"lambda" if a.dest == "lam" else a.dest
-             for sub in subparsers.choices.values() for a in sub._actions
-             if not isinstance(a, argparse._HelpAction)}
-    assert dests - {"config"} == set(_CONFIG_TYPES)
+@pytest.mark.parametrize("config, argv, key", [
+    ({"lambda": 1}, ("solve", "half"), "lambda"),
+    ({"domain": "half"}, ("solve", "whole"), "domain"),
+    ({"seed": 1}, ("polygon", "chg-D"), "seed"),
+    ({"config": "other.json"}, ("chg",), "config"),
+])
+def test_config_entry_the_command_does_not_read_is_one_error_line(
+        capsys, tmp_path, config, argv, key):
+    """A config file sets only the flags of the command it runs: neither a
+    flag of another command nor a positional."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err == f"error: config entry {key!r} is not an option\n"
+
+
+def _command_parsers(parser, prefix=""):
+    """{"polygon": parser, ..., "solve whole": parser, ...}: the parsers
+    that take flags."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {prefix: parser}
+    return {name: p for cmd, sub in subs[0].choices.items()
+            for name, p in _command_parsers(sub, f"{prefix} {cmd}".strip()).items()}
+
+
+def test_each_command_takes_only_the_flags_it_reads():
+    """39 option slots over six parsers at the shared-parent design, 33 now."""
+    every = {"out", "format", "config"}
+    want = {"polygon": set(), "check": {"grid", "lambda", "seed"},
+            "chg": {"grid", "lambda"}, "solve whole": {"grid", "seed"},
+            "solve half": {"grid", "seed", "bc", "ensemble"},
+            "probe": {"resolutions"}, "export": set()}
+    flags = {name: {a.dest for a in p._actions
+                    if a.option_strings and not isinstance(a, argparse._HelpAction)}
+             for name, p in _command_parsers(_build_parser()).items()}
+    assert flags == {name: own | every for name, own in want.items()}
+    assert sum(map(len, flags.values())) == 33
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("polygon", "chg-D", "--seed", "1"), "unrecognized arguments: --seed 1"),
+    (("probe", "--grid", "K=4"), "unrecognized arguments: --grid K=4"),
+    (("export", "R", "--lambda", "2"), "unrecognized arguments: --lambda 2"),
+    (("chg", "--seed", "1"), "unrecognized arguments: --seed 1"),
+    (("solve", "whole", "--bc", "dirichlet"),
+     "unrecognized arguments: --bc dirichlet"),
+    (("solve", "whole", "--ensemble", "2"), "unrecognized arguments: --ensemble 2"),
+    (("solve", "half", "--lambda", "2"), "unrecognized arguments: --lambda 2"),
+    (("check", "parity", "chg-D"), "argument what: invalid choice: 'parity'"),
+    (("polygon",), "the following arguments are required: target"),
+    (("solve",), "the following arguments are required: domain"),
+    (("solve", "half", "--seed", "x"), "argument --seed: invalid int value: 'x'"),
+    (("chg", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+])
+def test_usage_error_is_one_error_line(capsys, tmp_path, monkeypatch, argv,
+                                      message):
+    """A flag the command does not read, a bad choice or a missing argument
+    is a usage error: exit 1, one error line, no output (export would write
+    into ./export)."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "half", "--help"])
+    assert exc.value.code == 0
+    assert "--ensemble" in capsys.readouterr().out
 
 
 # --- probe -----------------------------------------------------------------
@@ -514,10 +595,17 @@ def test_probe_growth_table(capsys):
 
 def test_solve_half_refuses_probe_flag(capsys):
     """The probe report has one route, `maxreg probe`."""
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "half", "--probe"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --probe" in capsys.readouterr().err
+    code, out, err = run(capsys, "solve", "half", "--probe")
+    assert code == 1 and out == ""
+    assert err == "error: unrecognized arguments: --probe\n"
+
+
+@pytest.mark.parametrize("resolutions", ["a:64", "16:64:3", "16.5:64", "16"])
+def test_bad_resolution_is_named(capsys, resolutions):
+    code, out, err = run(capsys, "probe", "--resolutions", f"8:64,{resolutions}")
+    assert code == 1 and out == ""
+    assert err == (f"error: bad resolution {resolutions!r}: expected K:Nn "
+                   f"with integers K and Nn\n")
 
 
 # --- export ----------------------------------------------------------------
@@ -613,8 +701,9 @@ def test_deterministic_reports(capsys):
 
 
 def test_provenance_hash_tracks_config(capsys):
-    _, rep1 = run_json(capsys, "polygon", "chg-D")
-    _, rep2 = run_json(capsys, "polygon", "chg-D", "--seed", "1")
+    argv = ("check", "ellipticity", "chg-D", "--grid", "n_tau=16,n_xi=16")
+    _, rep1 = run_json(capsys, *argv, "--lambda", "1")
+    _, rep2 = run_json(capsys, *argv, "--lambda", "2")
     assert rep1["provenance"]["config_sha256"] \
         != rep2["provenance"]["config_sha256"]
 

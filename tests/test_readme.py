@@ -1,13 +1,12 @@
 """The python examples of README.md run as written, and its CLI synopsis
-names the parser's subcommands and their flags."""
+names each command and the flags it reads."""
 
-import argparse
 import re
 from pathlib import Path
 
 import pytest
 
-from maxreg.cli import _build_parser
+from maxreg.cli import _COMMAND_OPTIONS, _EVERY_COMMAND
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
@@ -27,19 +26,17 @@ def test_readme_example_runs(code, capsys):
 
 
 def test_readme_cli_synopsis_matches_the_parser():
-    """One synopsis line or more per subcommand, naming every flag that
-    subcommand adds to the global ones and no flag it does not take."""
-    subparsers, = [a for a in _build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    flags = {name: {s for a in sub._actions for s in a.option_strings
-                    if s.startswith("--")}
-             for name, sub in subparsers.choices.items()}
-    common = set.intersection(*flags.values())
+    """One synopsis line or more per command ("solve whole" and "solve half"
+    are two), naming every flag that command reads beyond the ones every
+    command takes, and no flag it does not take."""
     named = {}
     for line in SYNOPSIS.splitlines():
-        prog, cmd, *rest = line.split()
+        prog, *words = line.split()
         assert prog == "maxreg"
-        named.setdefault(cmd, set()).update(re.findall(r"--[a-z-]+", " ".join(rest)))
-    assert set(named) == set(flags)
-    for cmd, own in flags.items():
-        assert own - common <= named[cmd] <= own, cmd
+        cmd = " ".join(words[:2]) if " ".join(words[:2]) in _COMMAND_OPTIONS else words[0]
+        named.setdefault(cmd, set()).update(re.findall(r"--[a-z-]+", line))
+    assert set(named) == set(_COMMAND_OPTIONS)
+    every = {f"--{key}" for key in _EVERY_COMMAND}
+    for cmd, keys in _COMMAND_OPTIONS.items():
+        own = {f"--{key}" for key in keys}
+        assert own <= named[cmd] <= own | every, cmd
