@@ -19,19 +19,18 @@ import math
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .boundary import _default_chi, dirichlet_pair, neumann_pair_13
+from .boundary import _default_chi, dirichlet_pair, neumann_pair_13, trace_operator
 from .factorization import (
     MU_D,
     MU_MINUS,
     T1_ORDER,
     adj_chg_matrix,
-    chg_matrix,
     dplus_coeffs,
     roots,
 )
@@ -305,22 +304,24 @@ def trace_of_terms(rho: np.ndarray, coef: np.ndarray, j: int) -> np.ndarray:
     return acc
 
 
-def _int_power_exp(qmax: int, b: np.ndarray, L: float) -> np.ndarray:
-    """integral_0^L x^q e^{b x} dx for q = 0..qmax; shape b.shape + (qmax + 1,).
+def _int_power_exp(qmax: int, b: np.ndarray, L: float, ebl: np.ndarray) -> np.ndarray:
+    """integral_0^L x^q e^{b x} dx for q = 0..qmax, given ebl = e^{bL};
+    shape b.shape + (qmax + 1,).
 
     A power series where |b| L < 0.5, the integration-by-parts recursion
-    elsewhere.  The recursion runs on the whole array, with the decaying
-    stand-in b = -1/L on the series entries (e^{bL} = 1/e, no overflow and
-    no small divisor), whose series values then overwrite it."""
+    elsewhere.  The recursion runs on the whole array, with the stand-in
+    divisor b = -1/L on the series entries (|e^{bL}| < e^{1/2} there, so
+    nothing overflows or divides by zero), whose series values then
+    overwrite it."""
     q = np.arange(qmax + 1)
     out = np.empty(b.shape + (qmax + 1,), complex)
     small = np.abs(b) * L < 0.5
-    bb = np.where(small, -1.0 / L, b)
-    ebl = np.exp(bb * L)
-    out[..., 0] = (ebl - 1.0) / bb
+    any_small = small.any()  # the stand-in and the series cost ~30 us even on no entries
+    inv = 1.0 / (np.where(small, -1.0 / L, b) if any_small else b)
+    out[..., 0] = (ebl - 1.0) * inv
     for p in range(1, qmax + 1):
-        out[..., p] = (L ** p) * ebl / bb - (p / bb) * out[..., p - 1]
-    if small.any():  # the series loop costs ~30 us even on no entries
+        out[..., p] = (L ** p * ebl - p * out[..., p - 1]) * inv
+    if any_small:
         bs, total, fact = b[small][:, None], 0.0, 1.0
         for l in range(64):
             term = bs ** l * L ** (q + l + 1) / (fact * (q + l + 1))
@@ -334,16 +335,21 @@ def _int_power_exp(qmax: int, b: np.ndarray, L: float) -> np.ndarray:
 
 def terms_l2_sq(rho: np.ndarray, coef: np.ndarray, L: float) -> np.ndarray:
     """integral_0^L |sum|^2 dx in closed form; shape rho.shape[:-1].  The Gram
-    sum runs one slot s at a time, to keep its temporaries (columns x slots)."""
+    sum runs one slot s at a time, to keep its temporaries (columns x slots);
+    the pair (s, t) integrates e^{bx}, b = i (rho_s - conj rho_t), whose
+    e^{bL} is E_s conj(E_t) with E = e^{i rho L} taken once."""
     P = coef.shape[-1]
+    E = np.exp(rho * (1j * L))
+    conj_rho, conj_E, conj_coef = np.conj(rho), np.conj(E), np.conj(coef)
     total = np.zeros(rho.shape[:-1], complex)
     for s in range(rho.shape[-1]):
         # ints[..., t, q] = integral_0^L x^q e^{i (rho_s - conj rho_t) x} dx
-        ints = _int_power_exp(2 * P - 2, 1j * (rho[..., s, None] - np.conj(rho)), L)
+        ints = _int_power_exp(2 * P - 2, 1j * (rho[..., s, None] - conj_rho), L,
+                              E[..., s, None] * conj_E)
         for p in range(P):
             for q in range(P):
                 total += coef[..., s, p] * np.einsum("...t,...t->...",
-                                                     np.conj(coef[..., q]), ints[..., p + q])
+                                                     conj_coef[..., q], ints[..., p + q])
     return np.maximum(np.real(total), 0.0)
 
 
@@ -755,24 +761,51 @@ def _conditioning(M: np.ndarray, det: np.ndarray, left: np.ndarray,
     return _norm_2x2(M) ** 2 / np.abs(det), _norm_2x2(scaled)
 
 
-def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
-    """Solve op[D]_+ u = f, B_1 u = g_1, B_2 u = g_2 on every live column.
+def _apply_row(row, tau, xi, tr) -> np.ndarray:
+    """B_i u = sum_k B_ik u_k on the live columns at (tau, xi), from the
+    traces tr[k] (Tr_0 .. Tr_3 over those columns) of each component u_k;
+    a None entry adds nothing."""
+    return sum(op.apply_to_traces(tau, xi, t) for op, t in zip(row, tr) if op is not None)
 
-    Route: w = op[D-]^{-1}_+ f; particular p from anticausal D+ inversion;
-    homogeneous correction c_1 e^{i rho_1^+ x} + c_2 e^{i rho_2^+ x} fixed
-    by the 2x2 boundary system M c = g - B(p), M[i, j] = B_i(rho_j^+),
-    evaluated and solved for every live column at once.
+
+def _symbol_at_root(sym, tau, xi, rho) -> np.ndarray:
+    """A radial PolySymbol at xi_n = rho: its action on e^{i rho x_n}."""
+    return sum(c * (1j * rho) ** j for j, c in enumerate(normal_coeffs(sym)(tau, xi)))
+
+
+def _boundary_solve(mesh: tuple, fs: Sequence[HalfField], g, bc, adj=None) -> tuple:
+    """Solve op[L]_+ u = f, B_1 u = g_1, B_2 u = g_2 on the live columns
+    mesh = (index, tau, |xi'|) (HalfGrid.column_mesh()), for L = [[D]]
+    (adj None) or an m x m system with det L = D and adjugate adj (rows of
+    radial PolySymbols).
+
+    The Agmon-Douglis-Nirenberg construction: the particular part
+    u_p = op[ad L] v with v_k = op[D+]^{-1} op[D-]^{-1}_+ f_k (causal
+    resolvents of rho^-, then anticausal ones of rho^+), plus the kernel
+    modes phi_j e^{i rho_j^+ x}, phi_j the first column of ad L at
+    xi_n = rho_j^+ (phi_j = 1 for the scalar).  Row i of bc holds B_ik,
+    a BoundaryOperator or None, with B_i u = sum_k B_ik u_k; the
+    coefficients c of the modes solve the 2x2 system M c = g - B(u_p),
+    M[i, j] = sum_k B_ik(rho_j^+) phi_j[k], for every live column at once.
+    Returns (u, M, det, plus): the m solution fields, the boundary matrices
+    and their determinants over the live columns, and (rho_1^+, rho_2^+).
     """
-    if bc is None:
-        bc = neumann_pair_13()
-    grid = f.grid
-    if g is None:
-        g = (np.zeros(grid.col_shape, complex), np.zeros(grid.col_shape, complex))
-    index, tau, xi = grid.column_mesh()
+    grid = fs[0].grid
+    if len(bc) != 2 or any(len(row) != len(fs) for row in bc):
+        raise ValueError(f"boundary conditions: 2 rows of {len(fs)} operators (or None)")
+    index, tau, xi = mesh
     rq = roots(tau, xi)
     plus = (rq.rho1_plus, rq.rho2_plus)
-    M = np.moveaxis(np.array([[op.evaluate_at_root(tau, xi, rho) for rho in plus]
-                              for op in bc], dtype=complex), -1, 0)
+    rho_plus = np.stack(plus, axis=-1)
+    col = (tau[:, None], xi[:, None])  # (C, 1), against rho_plus (C, 2)
+    # phi[k, c, j]: component k of the kernel vector at rho_j^+ on column c
+    phi = (np.ones((1, 1, 2)) if adj is None
+           else np.array([_symbol_at_root(row[0], *col, rho_plus) for row in adj]))
+    M = np.zeros((tau.size, 2, 2), complex)
+    for i, row in enumerate(bc):
+        for k, op in enumerate(row):
+            if op is not None:
+                M[:, i] += op.evaluate_at_root(*col, rho_plus) * phi[k]
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
     scale = np.maximum(np.abs(M).max(axis=(1, 2)), 1e-300)
     singular = np.abs(det) < 1e-14 * scale ** 2
@@ -781,14 +814,31 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
         raise ZeroDivisionError(
             f"Lopatinskii violation: singular boundary system at column "
             f"k={index[0][first] - grid.K}, |xi'|={xi[first]:.6g}")
-    w = dminus_inverse_plus(f)
-    p = dotted_inverse(w, lambda tau, xi: plus)
-    tr = traces(p, 4)[(slice(None),) + index]
-    rhs = np.stack([gi[index] - op.apply_to_traces(tau, xi, tr)
-                    for gi, op in zip(g, bc)], axis=-1)
+    u = [dotted_inverse(dminus_inverse_plus(f), lambda tau, xi: plus) for f in fs]
+    if adj is not None:
+        u = [reduce(HalfField.__add__, map(apply_symbol, u, row)) for row in adj]
+    tr = [traces(uk, 4)[(slice(None),) + index] for uk in u]
+    rhs = np.stack([gi[index] - _apply_row(row, tau, xi, tr)
+                    for gi, row in zip(g, bc)], axis=-1)
     c = np.linalg.solve(M, rhs[..., None])[..., 0]
-    # the correction merges into the rho_j^+ slots the dotted inverse made
-    out = p + _field(grid, None, np.stack(plus, axis=-1), c[..., None])
+    # the modes merge into the rho_j^+ slots the dotted inverse made
+    u = [uk + _field(grid, None, rho_plus, (c * phi_k)[..., None])
+         for uk, phi_k in zip(u, phi)]
+    return u, M, det, plus
+
+
+def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
+    """Solve op[D]_+ u = f, B_1 u = g_1, B_2 u = g_2 on every live column:
+    _boundary_solve for L = [[D]], whose kernel modes are e^{i rho_j^+ x}
+    and whose boundary matrix is M[i, j] = B_i(rho_j^+).
+    """
+    if bc is None:
+        bc = neumann_pair_13()
+    grid = f.grid
+    if g is None:
+        g = (np.zeros(grid.col_shape, complex), np.zeros(grid.col_shape, complex))
+    index, tau, xi = mesh = grid.column_mesh()
+    (out,), M, det, plus = _boundary_solve(mesh, [f], g, [(op,) for op in bc])
     # norm of the map (boundary data in its trace space) -> (correction
     # in H^{mu_D}): the numerical shadow of the complementing condition
     factors = weight_factors(MU_D)
@@ -813,32 +863,27 @@ G1_ORDER = trace_order_function(T1_ORDER, 1)   # (3/2) o_{1/2}
 G2_ORDER = trace_order_function(E2_ORDER, 1)   # constant 1/2
 
 
-def _lift_from_neumann_data(grid: HalfGrid, g: np.ndarray) -> HalfField:
-    """psi with Tr_0 psi = 0 and Tr_1 psi = g: psi = g x e^{i rho_0 x}."""
-    index, _, xi = grid.column_mesh()
-    coef = np.stack([np.zeros(xi.size), g[index]], axis=-1)[:, None]
-    return _exp_field(grid, 1j * (1.0 + np.sqrt(1.0 + xi * xi))[:, None], coef)
-
-
 def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
-                          g2: np.ndarray) -> SolveResult:
-    """The adjugate construction for the CHG half-space system.
+                          g2: np.ndarray, bc=None) -> SolveResult:
+    """Solve op[L]_+ u = f, B_1 u = g_1, B_2 u = g_2 for the CHG system L.
 
-    Lift the Neumann boundary data off via explicit decaying profiles,
-    solve op[D]_+ v_i = f_i with Tr_1 v_i = Tr_3 v_i = 0 for i = 1, 2, and
-    set u = op[ad L]_+ v plus the lift.
+    bc is a 2x2 table of BoundaryOperator or None, B_i u = sum_k bc[i][k]
+    u_k; the default is the Neumann pair (Tr_1 u_1, Tr_1 u_2).  One
+    _boundary_solve with ad L: max_cond is the largest cond_2 of its
+    boundary matrices.  The data norms are taken in the spaces of the
+    Neumann data, G1 and G2, whatever the pair.
     """
+    if bc is None:
+        bc = ((trace_operator(1), None), (None, trace_operator(1)))
     grid = f1.grid
-    L, adj = chg_matrix(grid.n).entries, adj_chg_matrix(grid.n).entries
-    psi = (_lift_from_neumann_data(grid, g1), _lift_from_neumann_data(grid, g2))
-    neumann = neumann_pair_13()
-    f_tilde = [fi - apply_symbol(psi[0], L[i][0]) - apply_symbol(psi[1], L[i][1])
-               for i, fi in enumerate((f1, f2))]
-    v1 = solve_half_scalar(f_tilde[0], None, neumann)
-    v2 = solve_half_scalar(f_tilde[1], None, neumann)
-    u = [apply_symbol(v1.u, adj[i][0]) + apply_symbol(v2.u, adj[i][1]) + psi[i]
-         for i in range(2)]
-    tr = [traces(ui, 2) for ui in u]
+    index, tau, xi = mesh = grid.column_mesh()
+    u, M, det, _ = _boundary_solve(mesh, [f1, f2], (g1, g2), bc, adj_chg_matrix(grid.n).entries)
+    tr = [traces(ui, 4)[(slice(None),) + index] for ui in u]
+    residual = []
+    for gi, row in zip((g1, g2), bc):
+        Bu = np.zeros(grid.col_shape, complex)
+        Bu[index] = _apply_row(row, tau, xi, tr)
+        residual.append(float(np.abs(Bu - gi).max()))
     diag = {
         "norm_u1_E1": halfspace_norm(u[0], E1_ORDER),
         "norm_u2_E2": halfspace_norm(u[1], E2_ORDER),
@@ -846,9 +891,9 @@ def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
         "norm_f2_F2": halfspace_norm(f2, F2_ORDER),
         "norm_g1_G1": boundary_norm(g1, G1_ORDER, grid),
         "norm_g2_G2": boundary_norm(g2, G2_ORDER, grid),
-        "bdry_residual_1": float(np.abs(tr[0][1] - g1).max()),
-        "bdry_residual_2": float(np.abs(tr[1][1] - g2).max()),
-        "max_cond": max(v1.diagnostics["max_cond"], v2.diagnostics["max_cond"]),
+        "bdry_residual_1": residual[0],
+        "bdry_residual_2": residual[1],
+        "max_cond": float((_norm_2x2(M) ** 2 / np.abs(det)).max(initial=0.0)),
     }
     data = diag["norm_f1_F1"] + diag["norm_f2_F2"] \
         + diag["norm_g1_G1"] + diag["norm_g2_G2"]

@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxreg import halfspace
-from maxreg.boundary import BoundaryOperator, dirichlet_pair, neumann_pair_13
+from maxreg.boundary import (
+    BoundaryOperator,
+    dirichlet_pair,
+    neumann_pair_13,
+    trace_operator,
+)
 from maxreg.factorization import (
     MU_D,
     MU_MINUS,
@@ -296,7 +301,7 @@ def test_int_power_exp_matches_quadrature(bl):
     x = np.linspace(0.0, L, 20001)
     w = np.ones(x.size)
     w[1:-1:2], w[2:-1:2] = 4.0, 2.0
-    got = halfspace._int_power_exp(4, np.array([b]), L)[0]
+    got = halfspace._int_power_exp(4, np.array([b]), L, np.exp(np.array([b]) * L))[0]
     for q in range(5):
         want = (x[1] - x[0]) / 3.0 * np.dot(w, x ** q * np.exp(b * x))
         assert abs(got[q] - want) < 1e-12 * abs(want)
@@ -306,18 +311,38 @@ def test_int_power_exp_matches_quadrature(bl):
 def test_int_power_exp_mixed_branches_match_gauss_legendre(L):
     """Series (|b| L < 0.5) and recursion entries in one array: the recursion
     runs over all of them with a decaying stand-in on the series entries, so
-    nothing overflows, underflows or divides by zero even at L = 1e3."""
+    nothing overflows, underflows or divides by zero even at L = 1e3; e^{bL}
+    comes precomputed, as terms_l2_sq passes it."""
     bl = np.array([0.0, 1e-9, 0.1, 0.49, 0.5, 2.0, 40.0, 0.49, 3.0, 40.0])
     angle = np.array([0.0, 2.2, 1.7, 3.1, 2.2, 1.6, 2.6, np.pi / 2, np.pi / 2, np.pi])
     b = (bl / L * np.exp(1j * angle)).reshape(2, 5)
     with np.errstate(all="raise"):
-        got = halfspace._int_power_exp(4, b, L)
+        got = halfspace._int_power_exp(4, b, L, np.exp(b * L))
     nodes, weights = np.polynomial.legendre.leggauss(200)
     x, w = 0.5 * L * (nodes + 1.0), 0.5 * L * weights
     for q in range(5):
         f = x ** q * np.exp(b[..., None] * x)
         want, scale = f @ w, np.abs(f) @ w
         assert np.all(np.abs(got[..., q] - want) < 1e-12 * scale)
+
+
+def test_terms_l2_sq_matches_gauss_legendre():
+    """The Gram sum of a 3-slot, 3-power sum against 200-node Gauss-Legendre
+    quadrature of |sum|^2; the slot pair (0, 1) has |b| L = 0.16 and takes
+    the series branch, the other pairs the recursion."""
+    L = 2.0
+    rho = np.array([[0.3 + 0.02j, 0.3 + 0.06j, -1.1 + 0.9j],
+                    [2.0 + 0.5j, -0.4 + 1.5j, 0.7 + 3.0j]])
+    rng = np.random.default_rng(9)
+    coef = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    b01 = 1j * (rho[0, 0] - np.conj(rho[0, 1]))
+    assert abs(b01) * L < 0.5 and abs(1j * (rho[0, 0] - np.conj(rho[0, 2]))) * L > 0.5
+    with np.errstate(all="raise"):
+        got = terms_l2_sq(rho, coef, L)
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    x, w = 0.5 * L * (nodes + 1.0), 0.5 * L * weights
+    want = np.abs(eval_terms(rho, coef, x)) ** 2 @ w
+    assert np.all(np.abs(got - want) < 1e-13 * want)
 
 
 def _stack_2x2(rng, size, near_singular):
@@ -924,6 +949,75 @@ def test_system_norm_reports_present():
     assert res.diagnostics["norm_u2_E2"] > 0
     # E1 is the stronger space: check the orders actually differ
     assert E1_ORDER.ord == 3 and E2_ORDER.ord == 2
+
+
+_Tr = trace_operator
+# B_i u = sum_k bc[i][k] u_k, None for no term
+SYSTEM_PAIRS = {
+    "Tr1u1,Tr1u2": ((_Tr(1), None), (None, _Tr(1))),
+    "Tr0u1,Tr0u2": ((_Tr(0), None), (None, _Tr(0))),
+    "Tr0u1,Tr1u2": ((_Tr(0), None), (None, _Tr(1))),
+    "Tr1u1+Tr0u2,Tr3u1": ((_Tr(1), _Tr(0)), (_Tr(3), None)),
+}
+
+
+def _system_data(grid, bc):
+    """u* from two random_exp_field components, f = L u* and g_i = B_i u*."""
+    L = chg_matrix(grid.n).entries
+    u_star = [random_exp_field(grid, seed=7), random_exp_field(grid, seed=8)]
+    f = [apply_symbol(u_star[0], row[0]) + apply_symbol(u_star[1], row[1]) for row in L]
+    index, tau, xi = grid.column_mesh()
+    tr = [traces(u, 4)[(slice(None),) + index] for u in u_star]
+    g = [np.zeros(grid.col_shape, complex) for _ in bc]
+    for gi, row in zip(g, bc):
+        gi[index] = sum(op.apply_to_traces(tau, xi, t)
+                        for op, t in zip(row, tr) if op is not None)
+    return u_star, f, g
+
+
+@pytest.mark.parametrize("grid", [HalfGrid(K=8, Nn=128), HalfGrid(K=4, n=2, N=8, Nn=64)],
+                         ids=["n1", "n2"])
+@pytest.mark.parametrize("pair", list(SYSTEM_PAIRS))
+def test_system_recovers_manufactured_solution(grid, pair):
+    """One boundary solve for any system pair: u* comes back to round-off
+    in E1 x E2, and B u = g holds."""
+    bc = SYSTEM_PAIRS[pair]
+    u_star, f, g = _system_data(grid, bc)
+    res = solve_half_chg_system(f[0], f[1], g[0], g[1], bc)
+    for u, v, mu in zip(res.u, u_star, (E1_ORDER, E2_ORDER)):
+        assert halfspace_norm(u - v, mu) < 1e-12 * halfspace_norm(v, mu)
+    for i, gi in enumerate(g, 1):
+        assert res.diagnostics[f"bdry_residual_{i}"] < 1e-12 * np.abs(gi).max()
+    assert 1.0 <= res.diagnostics["max_cond"] < 1e3
+
+
+def test_system_singular_pair_raises_located():
+    """Two equal boundary rows: the same located error as the scalar solve."""
+    bc = ((_Tr(0), None), (_Tr(0), None))
+    f = random_exp_field(GRID, seed=16)
+    g0 = np.zeros(GRID.col_shape, complex)
+    with pytest.raises(ZeroDivisionError, match=r"Lopatinskii violation: "
+                       r"singular boundary system at column k=-4, \|xi'\|=0$"):
+        solve_half_chg_system(f, f, g0, g0, bc)
+
+
+def test_system_takes_one_boundary_solve(monkeypatch):
+    """The system runs one batched 2x2 solve and no scalar solve."""
+    calls = {"solve": 0, "scalar": 0}
+    real_solve = np.linalg.solve
+
+    def solve(*args):
+        calls["solve"] += 1
+        return real_solve(*args)
+
+    def scalar(*args):
+        calls["scalar"] += 1
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    monkeypatch.setattr(halfspace, "solve_half_scalar", scalar)
+    f1, f2 = random_exp_field(GRID, seed=24), random_exp_field(GRID, seed=25)
+    g0 = np.zeros(GRID.col_shape, complex)
+    solve_half_chg_system(f1, f2, g0, g0)
+    assert calls == {"solve": 1, "scalar": 0}
 
 
 # ---------------------------------------------------------------------------
