@@ -45,16 +45,6 @@ F = Fraction
 MAX_TRACE = 3  # the determinant is quartic: traces Tr_0..Tr_3
 
 
-def d0_plus_symbol() -> SymbolFn:
-    return SymbolFn(fn=lambda t, x: dplus_coeffs(t, x).d0_plus,
-                    name="d0_plus", oscillatory_only=True)
-
-
-def d1_plus_symbol() -> SymbolFn:
-    return SymbolFn(fn=lambda t, x: dplus_coeffs(t, x).d1_plus,
-                    name="d1_plus", oscillatory_only=True)
-
-
 def dplus_band() -> tuple[SymbolFn, SymbolFn]:
     """(d0+, d1+) from one computation of D+'s coefficients.
 
@@ -219,27 +209,21 @@ def builtin_boundary_conditions() -> dict:
 # Boundary-condition definition files
 # ---------------------------------------------------------------------------
 
-_NAMED_COEFFS = {
-    "d0_plus": d0_plus_symbol,
-    "d1_plus": d1_plus_symbol,
-}
-
-
 def _coeff_to_jsonable(sym):
     if isinstance(sym, PolySymbol):
         return {"poly": sym.to_jsonable()}
-    if sym.name in _NAMED_COEFFS:
+    if sym.name in ("d0_plus", "d1_plus"):  # a member of a dplus_band()
         return {"ref": sym.name}
     raise ValueError(f"coefficient {sym.name or sym!r} is not serializable")
 
 
-def _coeff_from_jsonable(obj):
+def _coeff_from_jsonable(obj, band: dict):
     """A number (BoundaryOperator takes it as the constant symbol), a named
-    D+ coefficient or a PolySymbol."""
+    D+ coefficient from band or a PolySymbol."""
     if isinstance(obj, (int, float)):
         return obj
     if "ref" in obj:
-        return _NAMED_COEFFS[obj["ref"]]()
+        return band[obj["ref"]]
     if "re" in obj or "im" in obj:
         return complex(obj.get("re", 0.0), obj.get("im", 0.0))
     return PolySymbol.from_jsonable(obj["poly"])
@@ -259,9 +243,12 @@ def bc_to_jsonable(bc: Sequence[BoundaryOperator], m: int = 0,
 
 
 def bc_from_jsonable(obj) -> tuple[tuple[BoundaryOperator, ...], int, OrderFunction]:
+    """(ops, m, nu) of a file; its named D+ coefficients share one band, so
+    an evaluation at one (tau, xi) takes the roots once."""
+    band = {sym.name: sym for sym in dplus_band()}
     ops = tuple(
         BoundaryOperator(
-            tuple(_coeff_from_jsonable(c) for c in op["coeffs"]),
+            tuple(_coeff_from_jsonable(c, band) for c in op["coeffs"]),
             chi=None if op.get("chi") is None
             else OrderFunctionDiff.from_jsonable(op["chi"]),
             name=op.get("name", ""))

@@ -16,6 +16,7 @@ import argparse
 import cmath
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -90,9 +91,11 @@ class CliError(Exception):
 # Configuration: defaults < flags < config file
 # ---------------------------------------------------------------------------
 
-_TORUS_KEYS = ("T", "K", "n", "N", "Lx")
-_HALF_KEYS = ("T", "K", "n", "N", "Lx", "Ln", "Nn")
-_GRIDSPEC_KEYS = ("tau_max", "n_tau", "xi_min", "xi_max", "n_xi", "n_dirs")
+_TORUS_KEYS = tuple(f.name for f in dataclasses.fields(TorusGrid))
+_HALF_KEYS = tuple(f.name for f in dataclasses.fields(HalfGrid))
+# lam and seed come from --lambda and --seed
+_GRIDSPEC_KEYS = tuple(f.name for f in dataclasses.fields(GridSpec)
+                       if f.name not in ("lam", "seed"))
 
 
 def _is_json_type(val, types) -> bool:
@@ -140,8 +143,8 @@ _OPTIONS = {
     "lambda": _Option(1.0, "low-frequency cutoff for certifications", float,
                       (int, float)),
     "seed": _Option(0, "random seed (>= 0)", int, int, count="an integer"),
-    "bc": _Option(None, "boundary condition (dirichlet | neumann_13 | file; "
-                        "neumann_13 if unset)"),
+    "bc": _Option(None, "boundary condition of the scalar solve (dirichlet | "
+                        "neumann_13 | file; neumann_13 if unset)"),
     "ensemble": _Option(0, "number of random system samples (>= 0; 0 runs "
                            "the scalar solve)", int, int, count="a sample count"),
     "resolutions": _Option(None, "comma list of K:Nn pairs, e.g. 16:256,32:256"),
@@ -484,11 +487,12 @@ def cmd_check(cfg):
 
 
 def cmd_chg(cfg):
-    poly = d_symbol().newton_polygon()
+    D = d_symbol()
+    poly = D.newton_polygon()
     mu = order_function_of(poly)
     grid = _grid_spec(cfg)
     # certified first: it names the first mesh point where D overflows
-    ell = ellipticity_certify(d_symbol(), MU_D, grid=grid)
+    ell = ellipticity_certify(D, MU_D, grid=grid)
     max_res = factor_residual(grid)
     fc = dplus_coeffs(1.0, 1.0)
     data = {
@@ -549,11 +553,14 @@ def _median(xs):
 
 
 def _solve_half(cfg):
+    ensemble = cfg["ensemble"]
+    if ensemble and cfg["bc"] is not None:
+        raise CliError("--bc is not read by --ensemble: the system ensemble "
+                       "solves under the Neumann pair (Tr_1 u_1, Tr_1 u_2)")
     kwargs = _grid_kwargs(cfg, _HALF_KEYS)
     grid = HalfGrid(**kwargs)
     seed = cfg["seed"]
     bc_name = cfg["bc"] or "neumann_13"
-    ensemble = cfg["ensemble"]
     if ensemble:
         zero_g = np.zeros(grid.col_shape, complex)
         ratios = []

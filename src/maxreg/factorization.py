@@ -31,6 +31,7 @@ from .symbols import (
     PolySymbol,
     _require_finite,
     as_diff,
+    det,
     mesh_axes,
 )
 
@@ -47,11 +48,6 @@ T1_ORDER: OrderFunction = order_function_of(
 T2_ORDER: OrderFunction = of_const(2)
 
 
-def d_symbol(n: int = 1) -> PolySymbol:
-    """D(tau, xi) = i tau + |xi|^2 (i tau + |xi|^2), radial in xi."""
-    return PolySymbol(n, True, ((1j, 1, 0), (1j, 1, 2), (1.0, 0, 4)))
-
-
 def chg_matrix(n: int = 1) -> MatrixSymbol:
     """L = [[i tau, |xi|^2], [-|xi|^2 - i tau, 1]] with its mixed orders."""
     l11 = PolySymbol(n, True, ((1j, 1, 0),))
@@ -63,13 +59,9 @@ def chg_matrix(n: int = 1) -> MatrixSymbol:
     return MatrixSymbol(((l11, l12), (l21, l22)), row_orders=s, col_orders=t)
 
 
-def adj_chg_matrix(n: int = 1) -> MatrixSymbol:
-    """ad L = [[1, -|xi|^2], [i tau + |xi|^2, i tau]]."""
-    a11 = PolySymbol(n, True, ((1.0, 0, 0),))
-    a12 = PolySymbol(n, True, ((-1.0, 0, 2),))
-    a21 = PolySymbol(n, True, ((1j, 1, 0), (1.0, 0, 2)))
-    a22 = PolySymbol(n, True, ((1j, 1, 0),))
-    return MatrixSymbol(((a11, a12), (a21, a22)))
+def d_symbol(n: int = 1) -> PolySymbol:
+    """D = det L = i tau + |xi|^2 (i tau + |xi|^2), radial in xi."""
+    return det(chg_matrix(n))
 
 
 @dataclass(frozen=True)

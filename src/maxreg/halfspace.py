@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from typing import Callable, Optional, Sequence
@@ -30,7 +30,8 @@ from .factorization import (
     MU_D,
     MU_MINUS,
     T1_ORDER,
-    adj_chg_matrix,
+    T2_ORDER,
+    chg_matrix,
     dplus_coeffs,
     roots,
 )
@@ -46,7 +47,7 @@ from .polygons import (
     trace_order_function,
 )
 from .spectral import SolveResult, require_integers, require_positive_finite
-from .symbols import normal_coeffs
+from .symbols import adjugate, normal_coeffs
 
 _DEGENERATE = 1e-6  # |i(sigma - rho)| * Ln below this -> series branch
 
@@ -130,8 +131,7 @@ class HalfGrid:
         return fd_weights(self.xn()[:j + 6], 0.0, j)[:, j]
 
     def to_jsonable(self):
-        return {"T": self.T, "K": self.K, "n": self.n, "N": self.N,
-                "Lx": self.Lx, "Ln": self.Ln, "Nn": self.Nn}
+        return asdict(self)
 
 
 class HalfField:
@@ -857,7 +857,7 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
 
 # order functions for the system solution/data spaces
 E1_ORDER = T1_ORDER                  # H^{(1,1)} cap H^{(0,3)}
-E2_ORDER = of_const(2)               # H^{(0,2)}
+E2_ORDER = T2_ORDER                  # H^{(0,2)}
 F2_ORDER = of_const(1)               # H^{(0,1)}
 G1_ORDER = trace_order_function(T1_ORDER, 1)   # (3/2) o_{1/2}
 G2_ORDER = trace_order_function(E2_ORDER, 1)   # constant 1/2
@@ -877,7 +877,8 @@ def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
         bc = ((trace_operator(1), None), (None, trace_operator(1)))
     grid = f1.grid
     index, tau, xi = mesh = grid.column_mesh()
-    u, M, det, _ = _boundary_solve(mesh, [f1, f2], (g1, g2), bc, adj_chg_matrix(grid.n).entries)
+    u, M, det, _ = _boundary_solve(mesh, [f1, f2], (g1, g2), bc,
+                                   adjugate(chg_matrix(grid.n)).entries)
     tr = [traces(ui, 4)[(slice(None),) + index] for ui in u]
     residual = []
     for gi, row in zip((g1, g2), bc):

@@ -12,7 +12,7 @@ on which the symbols below may degenerate.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -97,7 +97,7 @@ class TorusGrid:
         return (2 * self.K + 1,) + (self.N,) * self.n
 
     def to_jsonable(self):
-        return {"T": self.T, "K": self.K, "n": self.n, "N": self.N, "Lx": self.Lx}
+        return asdict(self)
 
 
 @dataclass

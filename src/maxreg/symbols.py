@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import reduce
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -77,7 +78,10 @@ class PolySymbol:
             acc = acc + term
         return np.asarray(acc, dtype=complex)
 
-    def __mul__(self, other: "PolySymbol") -> "PolySymbol":
+    def __mul__(self, other: Union["PolySymbol", numbers.Number]) -> "PolySymbol":
+        if isinstance(other, numbers.Number):
+            return PolySymbol(self.n, self.radial,
+                              tuple((c * other, i, a) for c, i, a in self.monomials))
         if self.radial != other.radial or self.n != other.n:
             raise ValueError("incompatible symbols")
         mono = []
@@ -255,51 +259,31 @@ def det_values(rows) -> np.ndarray:
     return np.zeros((), complex) if out is None else np.asarray(out)
 
 
-def det(M: MatrixSymbol) -> Union[PolySymbol, SymbolFn]:
+def _cofactor(M: MatrixSymbol, i: int, j: int) -> PolySymbol:
+    """(-1)^{i+j} det of M without row i and column j."""
+    d = det(MatrixSymbol(tuple(row[:j] + row[j + 1:]
+                               for k, row in enumerate(M.entries) if k != i)))
+    return d if (i + j) % 2 == 0 else d * -1
+
+
+def det(M: MatrixSymbol) -> PolySymbol:
+    """det M of a matrix of PolySymbols, exact: expansion along the first row."""
+    if not all(isinstance(e, PolySymbol) for row in M.entries for e in row):
+        raise TypeError("det and adjugate take polynomial entries only")
     if M.m == 1:
         return M.entries[0][0]
-
-    def fn(tau, xi, M=M):
-        return det_values(M.evaluate(tau, xi))
-    return SymbolFn(fn=fn, name="det",
-                    radial=all(e.radial for row in M.entries for e in row))
-
-
-def _minor(M: MatrixSymbol, i: int, j: int) -> MatrixSymbol:
-    ent = tuple(tuple(e for jj, e in enumerate(row) if jj != j)
-                for ii, row in enumerate(M.entries) if ii != i)
-    return MatrixSymbol(ent)
+    return reduce(PolySymbol.__add__, (M.entries[0][j] * _cofactor(M, 0, j)
+                                       for j in range(M.m)))
 
 
 def adjugate(M: MatrixSymbol) -> MatrixSymbol:
-    """(ad M)_{ij} = (-1)^{i+j} det M^{(ji)} so that M * ad M = det * I."""
-    m = M.m
-    if m == 1:
+    """ad M of a matrix of PolySymbols, exact: (ad M)_{ij} is the (j, i)
+    cofactor, so that M * ad M = det M * I; a 1x1 matrix has ad M = (1).
+    Every entry of an m >= 2 matrix sits in some minor, whose det checks it."""
+    if M.m == 1:
         return MatrixSymbol(((as_symbol(1),),))
-    rows = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            minor_det = det(_minor(M, j, i))
-            sign = (-1) ** (i + j)
-            row.append(SymbolFn(
-                fn=lambda tau, xi, d=minor_det, s=sign: s * d(tau, xi),
-                radial=minor_det.radial, name=f"adj[{i}][{j}]"))
-        rows.append(tuple(row))
-    row_orders = col_orders = None
-    if M.row_orders is not None and M.col_orders is not None:
-        # entry (i,j) of the adjugate is bounded by T_i + S_j with
-        # S_i = sum_{k != i} s_k and T_j = sum_{k != j} t_k.
-        def drop_sum(funcs, skip):
-            acc = None
-            for k, f in enumerate(funcs):
-                if k == skip:
-                    continue
-                acc = as_diff(f) if acc is None else of_add(acc, f)
-            return acc if acc is not None else as_diff(0)
-        row_orders = tuple(drop_sum(M.col_orders, i) for i in range(m))
-        col_orders = tuple(drop_sum(M.row_orders, j) for j in range(m))
-    return MatrixSymbol(tuple(rows), row_orders=row_orders, col_orders=col_orders)
+    return MatrixSymbol(tuple(tuple(_cofactor(M, j, i) for j in range(M.m))
+                              for i in range(M.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +322,7 @@ class GridSpec:
                                                   math.log10(self.xi_max), self.n_xi)])
 
     def to_jsonable(self):
-        return {"lam": self.lam, "tau_max": self.tau_max, "n_tau": self.n_tau,
-                "xi_min": self.xi_min, "xi_max": self.xi_max, "n_xi": self.n_xi,
-                "n_dirs": self.n_dirs, "seed": self.seed}
+        return asdict(self)
 
 
 @dataclass(frozen=True)

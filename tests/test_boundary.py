@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from maxreg import factorization, polygons
+from maxreg import boundary, factorization, polygons
 from maxreg.boundary import (
     BoundaryOperator,
     _default_chi,
@@ -15,8 +15,6 @@ from maxreg.boundary import (
     build_extended_matrix,
     builtin_boundary_conditions,
     complementing_check,
-    d0_plus_symbol,
-    d1_plus_symbol,
     dirichlet_pair,
     dplus_band,
     lopatinskii_check,
@@ -37,7 +35,6 @@ from maxreg.symbols import (
     GridSpec,
     MatrixSymbol,
     PolySymbol,
-    det,
     det_values,
     mesh_axes,
     mixed_order_certify,
@@ -134,11 +131,11 @@ def test_band_structure_audit():
 
 def test_neumann_det_is_minus_d0_d1():
     B = build_extended_matrix(neumann_pair_13())
-    d = det(B)
     tau, xip = _sample_points()
     fc = dplus_coeffs(tau, xip)
     expect = -fc.d0_plus * fc.d1_plus
-    assert np.abs(d(tau, xip) - expect).max() / np.abs(expect).max() < 1e-12
+    got = det_values(B.evaluate(tau, xip))
+    assert np.abs(got - expect).max() / np.abs(expect).max() < 1e-12
 
 
 def test_neumann_m1_det_is_plus_d0_d1():
@@ -146,7 +143,7 @@ def test_neumann_m1_det_is_plus_d0_d1():
     tau, xip = _sample_points()
     fc = dplus_coeffs(tau, xip)
     expect = fc.d0_plus * fc.d1_plus
-    got = det(B)(tau, xip)
+    got = det_values(B.evaluate(tau, xip))
     assert np.abs(got - expect).max() / np.abs(expect).max() < 1e-10
 
 
@@ -225,7 +222,7 @@ def test_complementing_implies_lopatinskii():
 def test_apply_to_traces_on_arrays_matches_each_column():
     """B u = sum_j b_j(tau, |xi'|) Tr_j u on column arrays, column by column."""
     op = BoundaryOperator((PolySymbol(1, True, ((1j, 1, 0), (1.0, 0, 2))), 0.5,
-                           d1_plus_symbol(), 1j))
+                           dplus_band()[1], 1j))
     tau, xip = _sample_points()
     rng = np.random.default_rng(3)
     tr = rng.normal(size=(4, tau.size)) + 1j * rng.normal(size=(4, tau.size))
@@ -277,10 +274,35 @@ def test_dplus_band_matches_the_single_symbols():
     d0, d1 = dplus_band()
     tau, xip = _sample_points()
     other = (tau + 1.0, xip * 2.0)
-    np.testing.assert_array_equal(d0(tau, xip), d0_plus_symbol()(tau, xip))
-    np.testing.assert_array_equal(d1(*other), d1_plus_symbol()(*other))
-    np.testing.assert_array_equal(d1(tau, xip), d1_plus_symbol()(tau, xip))
-    np.testing.assert_array_equal(d0(tau, xip), d0_plus_symbol()(tau, xip))
+    np.testing.assert_array_equal(d0(tau, xip), dplus_coeffs(tau, xip).d0_plus)
+    np.testing.assert_array_equal(d1(*other), dplus_coeffs(*other).d1_plus)
+    np.testing.assert_array_equal(d1(tau, xip), dplus_coeffs(tau, xip).d1_plus)
+    np.testing.assert_array_equal(d0(tau, xip), dplus_coeffs(tau, xip).d0_plus)
+
+
+def test_loaded_file_shares_one_band(monkeypatch):
+    """A file that names d0_plus and d1_plus takes D+'s coefficients once
+    per evaluation at one (tau, xi), whichever operator holds them."""
+    obj = bc_to_jsonable(neumann_pair_13())
+    obj["ops"][0]["coeffs"][0] = {"ref": "d0_plus"}
+    obj["ops"][1]["coeffs"][0] = {"ref": "d1_plus"}
+    (op1, op2), _, _ = bc_from_jsonable(obj)
+    calls = []
+    real = boundary.dplus_coeffs
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(boundary, "dplus_coeffs", counted)
+    tau, xip = _sample_points()
+    for other in ((tau + 1.0, xip * 2.0), (tau, xip)):
+        calls.clear()
+        d0 = op1.coeffs[0](*other)
+        d1 = op2.coeffs[0](*other)
+        assert len(calls) == 1
+        fc = real(*other)
+        np.testing.assert_array_equal(d0, fc.d0_plus)
+        np.testing.assert_array_equal(d1, fc.d1_plus)
 
 
 CERT_MESH = GridSpec(n_tau=256, n_xi=256)
@@ -365,10 +387,9 @@ def test_ls_matches_polynomial_division_oracle():
         bc = (BoundaryOperator(tuple(c1), chi=O_HALF),
               BoundaryOperator(tuple(c2), chi=O_HALF))
         B = build_extended_matrix(bc)
-        d = det(B)
         for tau in tau_values:
             for xip in xi_values:
-                det_pass = abs(d(tau, xip)) > 1e-8 * max(
+                det_pass = abs(det_values(B.evaluate(tau, xip))) > 1e-8 * max(
                     1.0, abs(dplus_coeffs(tau, xip).d0_plus)) ** 2
                 oracle_pass = _ls_division_oracle(bc, float(tau), float(xip))
                 assert det_pass == oracle_pass, (trial, tau, xip)

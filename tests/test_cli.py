@@ -259,6 +259,16 @@ def test_boundary_file_m_must_be_an_integer(capsys, tmp_path):
                    f"m must be an integer, got 1.5\n")
 
 
+def test_boundary_file_unknown_ref_is_named(capsys, tmp_path):
+    obj = bc_to_jsonable(neumann_pair_13())
+    obj["ops"][0]["coeffs"][0] = {"ref": "bogus"}
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", "boundary", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: bad boundary-condition file: 'bogus'\n"
+
+
 def test_check_unknown_target(capsys):
     code, out, err = run(capsys, "check", "boundary", "robin")
     assert code == 1 and "unknown boundary condition" in err
@@ -411,6 +421,17 @@ def test_solve_half_ensemble(capsys):
     assert code == 0
     assert len(rep["data"]["ratios"]) == 3
     assert rep["data"]["median_ratio"] > 0
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann_13", "no-such-file.json"])
+def test_ensemble_refuses_bc(capsys, tmp_path, bc):
+    """The system ensemble solves under its own Neumann pair: a --bc it
+    would not read is an error, not a config entry."""
+    out_path = tmp_path / "report.json"
+    code, out, err = run(capsys, "solve", "half", "--ensemble", "1",
+                         "--grid", "K=2,Nn=64", "--bc", bc, "--out", str(out_path))
+    assert code == 1 and out == "" and not out_path.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: --bc ")
 
 
 def test_negative_ensemble_is_one_error_line(capsys, recwarn):

@@ -18,7 +18,6 @@ from maxreg.factorization import (
     MU_D,
     MU_MINUS,
     T1_ORDER,
-    adj_chg_matrix,
     chg_matrix,
     d_symbol,
     roots,
@@ -57,7 +56,7 @@ from maxreg.halfspace import (
     zero_half_field,
 )
 from maxreg.polygons import smooth_weight_eval
-from maxreg.symbols import PolySymbol, SymbolFn
+from maxreg.symbols import PolySymbol, SymbolFn, adjugate
 
 GRID = HalfGrid(K=4, Nn=256)
 
@@ -487,7 +486,7 @@ def test_dminus_round_trip_sampled_converges():
 @pytest.mark.parametrize("name,sym", [("D", d_symbol())]
                          + [(f"L{i}{j}", chg_matrix().entries[i][j])
                             for i in range(2) for j in range(2)]
-                         + [(f"adjL{i}{j}", adj_chg_matrix().entries[i][j])
+                         + [(f"adjL{i}{j}", adjugate(chg_matrix()).entries[i][j])
                             for i in range(2) for j in range(2)])
 def test_apply_symbol_matches_symbol_on_exponentials(name, sym):
     """op[P] c e^{i rho x} = P(tau, sqrt(|xi'|^2 + rho^2)) c e^{i rho x}."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxreg.factorization import MU_D, adj_chg_matrix, chg_matrix, d_symbol
+from maxreg.factorization import MU_D, chg_matrix, d_symbol
 from maxreg.polygons import (
     as_diff,
     o_elem,
@@ -94,11 +94,44 @@ def test_product_exponent_set_minkowski(m1, m2):
 
 
 def test_det_of_chg_matrix_is_d():
-    L = chg_matrix()
-    dd = det(L)
-    D = d_symbol()
-    for tau, xi in [(1.0, 0.0), (3.0, 2.0), (-7.0, 0.3)]:
-        assert dd(tau, xi) == pytest.approx(D(tau, xi))
+    """D = det L = i tau + |xi|^2 (i tau + |xi|^2), monomial for monomial."""
+    for n in (1, 2):
+        D = PolySymbol(n, True, ((1j, 1, 0), (1j, 1, 2), (1.0, 0, 4)))
+        assert det(chg_matrix(n)) == D
+        assert d_symbol(n) == D
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_adjugate_of_chg_matrix_is_the_hand_written_one(n):
+    """ad L = [[1, -|xi|^2], [i tau + |xi|^2, i tau]], monomial for monomial."""
+    def poly(*monos):
+        return PolySymbol(n, True, monos)
+    assert adjugate(chg_matrix(n)).entries == (
+        (poly((1.0, 0, 0)), poly((-1.0, 0, 2))),
+        (poly((1j, 1, 0), (1.0, 0, 2)), poly((1j, 1, 0))))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chg_matrix_times_its_adjugate_is_det_times_identity(n):
+    """L ad L = det L I, exactly, as polynomials."""
+    L = chg_matrix(n).entries
+    adj = adjugate(chg_matrix(n)).entries
+    D = det(chg_matrix(n))
+    zero = PolySymbol(n, True, ())
+    for i in range(2):
+        for j in range(2):
+            got = L[i][0] * adj[0][j] + L[i][1] * adj[1][j]
+            assert got == (D if i == j else zero)
+
+
+def test_det_and_adjugate_take_polynomial_entries_only():
+    """The extended boundary matrix holds the D+ band, which is no polynomial."""
+    from maxreg.boundary import build_extended_matrix, neumann_pair_13
+    B = build_extended_matrix(neumann_pair_13())
+    with pytest.raises(TypeError):
+        det(B)
+    with pytest.raises(TypeError):
+        adjugate(B)
 
 
 def test_adjugate_of_chg_matrix():
@@ -153,13 +186,6 @@ def test_normal_coeffs_takes_only_a_polynomial():
     """A SymbolFn is an evaluation map, even one that wraps a polynomial."""
     with pytest.raises(ValueError):
         normal_coeffs(SymbolFn(fn=d_symbol()))
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_adjugate_of_chg_matrix_is_the_hand_written_one(n):
-    tau, xi = mesh_axes(GridSpec(n_tau=16, n_xi=16))
-    np.testing.assert_array_equal(stacked(adjugate(chg_matrix(n)).evaluate(tau, xi)),
-                                  stacked(adj_chg_matrix(n).evaluate(tau, xi)))
 
 
 def test_axis_evaluation_matches_the_mesh():
@@ -334,7 +360,8 @@ def test_mixed_order_reports_match_single_symbol_certificates():
             for j, t in enumerate(M.col_orders):
                 assert out["entries"][f"{i},{j}"] == upper_bound_certify(
                     M.entries[i][j], of_add(s, t), grid)
-        assert out["det"] == ellipticity_certify(det(M), M.delta(), grid=grid,
+        det_map = SymbolFn(fn=lambda tau, xi, M=M: det_values(M.evaluate(tau, xi)))
+        assert out["det"] == ellipticity_certify(det_map, M.delta(), grid=grid,
                                                  floor=1e-8)
 
 
