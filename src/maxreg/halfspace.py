@@ -993,14 +993,13 @@ def read_half_field(path) -> HalfField:
 
 def random_exp_field(grid: HalfGrid, seed: int = 0) -> HalfField:
     """Random decaying exponential-sum field: three terms c e^{i rho x} on
-    every live column, with Re rho in [-2, 2] and Im rho in [0.3, 2]."""
+    every live column, with Re rho in [-2, 2] and Im rho in [0.3, 2].
+
+    Two draws from ``default_rng(seed)``: one standard-normal array
+    (columns, 3, 2) for the real and imaginary parts of c, then one uniform
+    array (columns, 3, 2) mapped affinely onto Re rho and Im rho."""
     rng = np.random.default_rng(seed)
-    # the stream of rng.normal() and rng.uniform(low, high), which are
-    # standard_normal() and low + (high - low) * random() (2 - 0.3 is 1.7
-    # exactly), drawn term by term: one vectorized draw of each would
-    # reorder the stream
-    normal, unit = rng.standard_normal, rng.random
-    draws = np.array([(normal(), normal(), unit(), unit())
-                      for _ in range(3 * grid.column_mesh()[1].size)]).reshape(-1, 3, 4)
-    rho = (-2.0 + 4.0 * draws[..., 2]) + 1j * (0.3 + 1.7 * draws[..., 3])
-    return _exp_field(grid, rho, (draws[..., 0] + 1j * draws[..., 1])[..., None])
+    shape = (grid.column_mesh()[1].size, 3, 2)
+    c, r = rng.standard_normal(shape), rng.random(shape)
+    rho = (-2.0 + 4.0 * r[..., 0]) + 1j * (0.3 + 1.7 * r[..., 1])
+    return _exp_field(grid, rho, (c[..., 0] + 1j * c[..., 1])[..., None])

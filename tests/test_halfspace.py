@@ -387,20 +387,25 @@ def test_norm_2x2_of_scaled_unitary_matrices():
 def test_random_exp_field_draw_stream_is_pinned():
     """Golden draws of random_exp_field(seed=5) on the ensemble grid: the
     ensemble reports depend on this exact stream."""
-    f = random_exp_field(HalfGrid(K=8, n=2, N=16, Nn=128), seed=5)
+    grid = HalfGrid(K=8, n=2, N=16, Nn=128)
+    f = random_exp_field(grid, seed=5)
     assert f.rho.shape == (256, 3) and f.coef.shape == (256, 3, 1)
     golden = {
-        (0, 0): (0.061302244168568 + 0.7858623461498406j,
+        (0, 0): (-1.5597803810294106 + 1.2932791495513118j,
                  -0.8019314252534474 - 1.324358995628145j),
-        (1, 2): (1.5186046933396886 + 0.4091645434307247j,
-                 -0.7133133716322436 + 0.5533784703532895j),
-        (100, 1): (-0.14801066585486922 + 1.7532228314476777j,
-                   1.1231520774598631 + 0.17433067237686975j),
-        (255, 2): (-1.3364845882811367 + 1.0912715388047518j,
-                   -0.056623494191235815 - 1.5891949058950054j),
+        (1, 2): (1.9252286624744652 + 0.8953039070158946j,
+                 0.27276877584472176 - 1.2333286640307717j),
+        (100, 1): (0.19814454341180676 + 0.8344006051016073j,
+                   0.2036961304237924 - 0.49260852892014195j),
+        (255, 2): (1.8980224502595089 + 1.4987322478789806j,
+                   -0.3356299385339455 - 0.6474533088072583j),
     }
     for idx, (rho, coef) in golden.items():
         assert f.rho[idx] == rho and f.coef[idx][0] == coef
+    assert np.all((-2.0 <= f.rho.real) & (f.rho.real <= 2.0))
+    assert np.all((0.3 <= f.rho.imag) & (f.rho.imag <= 2.0))
+    g = random_exp_field(grid, seed=6)
+    assert np.all(f.rho != g.rho) and np.all(f.coef != g.coef)
 
 
 def test_resolvents_reject_wrong_half_plane():
@@ -656,10 +661,19 @@ def test_derivative_matrix_is_compact(monkeypatch):
 
 
 def test_halfspace_norm_sampled_matches_exact():
-    u = random_exp_field(GRID, seed=8)
-    exact = halfspace_norm(u, MU_D)
-    sampled = halfspace_norm(u.materialized(), MU_D)
-    assert abs(sampled - exact) < 1e-3 * exact
+    """The sampled mu_D norm is second order in h: within 1e-3 of the exact
+    norm at Nn = 1021, and its error falls at least 3x from GRID's Nn = 256
+    (about 16x for second order, as h falls about 4x)."""
+    def error(grid, seed):
+        u = random_exp_field(grid, seed=seed)
+        exact = halfspace_norm(u, MU_D)
+        return abs(halfspace_norm(u.materialized(), MU_D) - exact) / exact
+
+    fine = HalfGrid(K=GRID.K, Nn=1021)
+    for seed in range(20):
+        e_fine = error(fine, seed)
+        assert e_fine < 1e-3, seed
+        assert error(GRID, seed) > 3.0 * e_fine, seed
 
 
 def test_boundary_norm_evaluates_weights_once(monkeypatch):
@@ -838,18 +852,27 @@ def test_conditioning_signature():
 
 
 def test_collocation_oracle_single_column():
-    """Factorized route equals a dense Chebyshev collocation solve."""
-    u_star, f, tr = _manufactured(HalfGrid(K=8, Nn=128), 42)
-    grid = f.grid
-    res = solve_half_scalar(f, (tr[1], tr[3]), neumann_pair_13())
-    k = 3
-    idx = (grid.K + k,)
-    r = _row(grid, idx)
-    t, u_c = _collocate_column(k * grid.omega, 0.0, (f.rho[r], f.coef[r]),
-                               tr[1][idx], tr[3][idx], neumann_pair_13(),
-                               grid.Ln)
-    u_f = eval_terms(res.u.rho[r], res.u.coef[r], t)
-    assert np.abs(u_c - u_f).max() < 1e-7 * np.abs(u_f).max()
+    """Factorized route equals a dense Chebyshev collocation solve.
+
+    The data have Im rho >= 0.3, so u* has not decayed at x_n = Ln
+    (e^{-0.3 Ln} is about 5e-4): the collocation is given u*'s exact
+    value and slope there."""
+    for seed in (42, *range(10)):
+        u_star, f, tr = _manufactured(HalfGrid(K=8, Nn=128), seed)
+        grid = f.grid
+        res = solve_half_scalar(f, (tr[1], tr[3]), neumann_pair_13())
+        k = 3
+        idx = (grid.K + k,)
+        r = _row(grid, idx)
+        rho, coef = u_star.rho[r], u_star.coef[r]
+        far = (eval_terms(rho, coef, np.array([grid.Ln]))[0],
+               eval_terms(rho, halfspace._derivative(rho, coef),
+                          np.array([grid.Ln]))[0])
+        t, u_c = _collocate_column(k * grid.omega, 0.0, (f.rho[r], f.coef[r]),
+                                   tr[1][idx], tr[3][idx], neumann_pair_13(),
+                                   grid.Ln, far=far)
+        u_f = eval_terms(res.u.rho[r], res.u.coef[r], t)
+        assert np.abs(u_c - u_f).max() < 1e-7 * np.abs(u_f).max(), seed
 
 
 def _cheb(N):
@@ -862,8 +885,9 @@ def _cheb(N):
     return D, x
 
 
-def _collocate_column(tau, xi, f_terms, g1, g2, bc, Ln, N=300):
-    """Dense first-order-system Chebyshev solve of the quartic column BVP."""
+def _collocate_column(tau, xi, f_terms, g1, g2, bc, Ln, N=300, far=(0.0, 0.0)):
+    """Dense first-order-system Chebyshev solve of the quartic column BVP;
+    far gives u and u' at x_n = Ln (default: decayed to 0)."""
     D, x = _cheb(N)
     t = Ln * (1 - x) / 2
     Dt = -(2.0 / Ln) * D
@@ -884,10 +908,10 @@ def _collocate_column(tau, xi, f_terms, g1, g2, bc, Ln, N=300):
         for j, c in enumerate(op.coeffs):
             A[row, j * n1] = complex(c(tau, xi))
         rhs[row] = g
-    for row, blk in ((N, 0), (n1 + N, 1)):  # decay at x_n = Ln
+    for row, blk in ((N, 0), (n1 + N, 1)):  # u, u' at x_n = Ln
         A[row, :] = 0
         A[row, blk * n1 + N] = 1.0
-        rhs[row] = 0.0
+        rhs[row] = far[blk]
     sol = np.linalg.solve(A, rhs)
     return t, sol[:n1]
 
