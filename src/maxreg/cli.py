@@ -71,9 +71,10 @@ from .polygons import (
     trace_order_function,
 )
 from .spectral import (
+    Field,
     TorusGrid,
-    norm_table,
-    random_band_limited_field,
+    coefficient_norms,
+    random_band_limited_coefficients,
     system_residual,
     system_solve,
     system_times,
@@ -520,20 +521,25 @@ def _solve_whole(cfg):
     kwargs = _grid_kwargs(cfg, _TORUS_KEYS)
     grid = TorusGrid(**kwargs)
     seed = cfg["seed"]
-    u_star = tuple(random_band_limited_field(grid, seed=seed + i) for i in range(2))
-    # one evaluation of L makes f, solves and takes the residual; f stays in
-    # coefficients, and u's norms come from the residual's transform of u
+    u_star = [random_band_limited_coefficients(grid, seed=seed + i) for i in range(2)]
+    # one evaluation of L makes f from u*'s coefficients, solves and takes
+    # the residual; f stays in coefficients, u*'s samples are made once, for
+    # the recovery error, and u's norms come from the residual's transform
     vals = system_values(chg_matrix(grid.n), grid)
-    fc = list(system_times(vals, [us.coefficients() for us in u_star]))
+    fc = list(system_times(vals, u_star))
     u = system_solve(vals, fc, grid)
-    err = max(np.abs(u[i].data - u_star[i].data).max()
-              / max(np.abs(u_star[i].data).max(), 1e-300) for i in range(2))
-    del u_star
+    stars = (Field.from_coefficients(grid, c).data for c in u_star)
+    err = max(np.abs(ui.data - us).max() / max(np.abs(us).max(), 1e-300)
+              for ui, us in zip(u, stars))
+    del u_star, stars
     residual, uc = system_residual(vals, u, fc)
     del vals
-    tables = {f"norms_{name}": norm_table(grid, c, [("l2", 0), ("mu_D", MU_D)])
-              for name, c in (("u1", uc[0]), ("u2", uc[1]),
-                              ("f1", fc[0]), ("f2", fc[1]))}
+    orders = (("l2", 0), ("mu_D", MU_D))
+    norms = coefficient_norms(grid, [uc[0], uc[1], fc[0], fc[1]],
+                              [mu for _, mu in orders])
+    tables = {f"norms_{name}": [{"name": o, "norm": v}
+                                for (o, _), v in zip(orders, row)]
+              for name, row in zip(("u1", "u2", "f1", "f2"), norms)}
     data = {"grid": grid.to_jsonable(), "seed": seed,
             "relative_residual": residual, "recovery_error": err, **tables}
     summary = [f"whole-space manufactured solve on K={grid.K}, N={grid.N}",

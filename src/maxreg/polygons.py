@@ -449,9 +449,9 @@ def _smooth_weight_positive(mu: OrderFunction, tau, xi_norm):
     return acc
 
 
-def weight_evaluator(tau, xi_norm):
-    """mu -> weight_eval(mu, tau, xi_norm), evaluating each distinct positive
-    part once over the evaluator's life."""
+def weight_parts(tau, xi_norm):
+    """mu -> (W_plus, W_minus), the parts of W_mu = W_plus / W_minus,
+    evaluating each distinct positive part once over the evaluator's life."""
     parts: dict = {}
 
     def part(p: OrderFunction):
@@ -459,15 +459,16 @@ def weight_evaluator(tau, xi_norm):
             parts[p] = _weight_positive(p, tau, xi_norm)
         return parts[p]
 
-    def weight(mu: OFLike):
+    def both(mu: OFLike):
         mu = as_diff(mu)
-        return part(mu.plus) / part(mu.minus)
-    return weight
+        return part(mu.plus), part(mu.minus)
+    return both
 
 
 def weight_eval(mu: OFLike, tau, xi_norm):
     """W_mu = W_plus / W_minus with W = 1 + sum over vertices |tau|^s |xi|^r."""
-    return weight_evaluator(tau, xi_norm)(mu)
+    plus, minus = weight_parts(tau, xi_norm)(mu)
+    return plus / minus
 
 
 def smooth_weight_eval(mu: OFLike, tau, xi_norm):

@@ -154,20 +154,24 @@ def mode_field(grid: TorusGrid, k: int, xi_index, amplitude=1.0) -> Field:
     return Field.from_coefficients(grid, coeffs)
 
 
-def random_band_limited_field(grid: TorusGrid, seed: int = 0) -> Field:
-    """Random smooth oscillatory field (zero k = 0 slab) whose spectrum
-    decays below 1e-12 at the edges."""
+def random_band_limited_coefficients(grid: TorusGrid, seed: int = 0) -> np.ndarray:
+    """(k, xi) coefficients of a random smooth oscillatory field: complex
+    normals under a Gaussian envelope, drawn only on the live band, where
+    the envelope is >= 1e-14 and k != 0, in C order, and zero elsewhere, so
+    the spectrum decays below 1e-12 at the edges."""
     rng = np.random.default_rng(seed)
-    coeffs = np.empty(grid.shape, complex)
-    coeffs.real, coeffs.imag = rng.normal(size=(2,) + grid.shape)
     k_width = max(1.0, grid.K / 6.0)
     xi_width = np.abs(grid.xi_axis()).max() / 6.0
     envelope = np.exp(-(grid.tau_mesh() / (grid.omega * k_width)) ** 2
                       - (grid.xi_norm_mesh() / xi_width) ** 2)
-    coeffs *= envelope
-    coeffs[np.abs(envelope) < 1e-14] = 0.0
-    coeffs[grid.K] = 0.0
-    return Field.from_coefficients(grid, coeffs)
+    live = envelope >= 1e-14
+    live[grid.K] = False
+    # one (re, im) pair of standard normals per live entry
+    band = rng.standard_normal((np.count_nonzero(live), 2)).view(complex)[:, 0]
+    band *= envelope[live]
+    coeffs = np.zeros(grid.shape, complex)
+    coeffs[live] = band
+    return coeffs
 
 
 def project_oscillatory(f: Field) -> Field:
@@ -206,24 +210,25 @@ def apply_multiplier(f: Field, m) -> Field:
     return apply_system(MatrixSymbol(((m,),)), (f,))[0]
 
 
-def coefficient_norms(grid: TorusGrid, c: np.ndarray,
-                      mus: Sequence[OFLike]) -> list[float]:
+def coefficient_norms(grid: TorusGrid, cs: Sequence[np.ndarray],
+                      mus: Sequence[OFLike]) -> list[list[float]]:
     """|| op[w_mu] f ||_{L^2(G)} for each mu, by discrete Plancherel with
-    smooth weights, from the (k, xi) coefficients c of f."""
+    smooth weights, from the (k, xi) coefficients c of f, for each c in cs;
+    each weight is evaluated once for all of them."""
     tau = grid.tau_mesh()
     xi = grid.xi_norm_mesh()
-    power = np.abs(c) ** 2
+    w2 = [np.asarray(smooth_weight_eval(as_diff(mu), tau, xi)) ** 2 for mu in mus]
+    volume = grid.T * grid.Lx ** grid.n
     out = []
-    for mu in mus:
-        w = smooth_weight_eval(as_diff(mu), tau, xi)
-        total = float(np.sum(power * np.asarray(w) ** 2))
-        out.append(float(np.sqrt(grid.T * grid.Lx ** grid.n * total)))
+    for c in cs:
+        power = np.abs(c) ** 2
+        out.append([float(np.sqrt(volume * float(np.sum(power * w)))) for w in w2])
     return out
 
 
 def norms_weighted(f: Field, mus: Sequence[OFLike]) -> list[float]:
     """|| op[w_mu] f ||_{L^2(G)} for each mu, from one transform of f."""
-    return coefficient_norms(f.grid, f.coefficients(), mus)
+    return coefficient_norms(f.grid, [f.coefficients()], mus)[0]
 
 
 def norm_weighted(f: Field, mu: OFLike = 0) -> float:
@@ -400,10 +405,3 @@ def read_field(path) -> Field:
         raw = np.frombuffer(fh.read(), dtype=np.complex64)
     return Field(grid, raw.reshape(grid.shape).astype(complex))
 
-
-def norm_table(grid: TorusGrid, c: np.ndarray,
-               orders: Sequence[tuple[str, OFLike]]) -> list[dict]:
-    """Rows {name, norm} for CSV export, from the coefficients c of an
-    oscillatory field."""
-    norms = coefficient_norms(grid, c, [mu for _, mu in orders])
-    return [{"name": name, "norm": v} for (name, _), v in zip(orders, norms)]

@@ -26,7 +26,7 @@ from .polygons import (
     polygon_from_exponents,
     qpoint,
     weight_eval,
-    weight_evaluator,
+    weight_parts,
 )
 
 Alpha = Union[int, tuple]  # radial power of |xi|, or a multi-index over xi_1..xi_n
@@ -418,6 +418,14 @@ def _upper_report(tau, xi, ratio, grid: GridSpec) -> CertReport:
                       details={"argmax": _point(tau, xi, idx)})
 
 
+def _zero_report(tau, xi, grid: GridSpec) -> CertReport:
+    """_upper_report of an exact-zero entry: its ratio 0/W is 0 on the whole
+    mesh, because every weight is finite and positive, so its max is 0 at
+    mesh index (0, 0)."""
+    return CertReport(kind="upper_bound", passed=True, c_upper=0.0, grid=grid,
+                      details={"argmax": _point(tau, xi, (0, 0))})
+
+
 def _ellipticity_report(tau, xi, ratio, grid: GridSpec, floor: float) -> CertReport:
     mask = np.abs(tau) >= grid.lam * (1 - 1e-12)
     vals = np.where(mask, ratio, np.inf)
@@ -502,14 +510,20 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec()) -> dict:
     if M.row_orders is None or M.col_orders is None:
         raise ValueError("mixed-order certification requires row/column orders")
     tau, xi, vals, abs_det = sample_matrix(M, grid)
-    weight = weight_evaluator(tau, xi)
+    weight = weight_parts(tau, xi)
     entry_reports = {}
     for i, s in enumerate(M.row_orders):
         for j, t in enumerate(M.col_orders):
-            ratio = np.abs(vals[i][j]) / weight(of_add(s, t))
-            entry_reports[f"{i},{j}"] = _upper_report(tau, xi, ratio, grid)
+            # the weight parts are taken, and checked, for every entry; an
+            # exact zero needs no mesh work beyond them
+            plus, minus = weight(of_add(s, t))
+            v = vals[i][j]
+            entry_reports[f"{i},{j}"] = (
+                _zero_report(tau, xi, grid) if _is_zero(v) else
+                _upper_report(tau, xi, np.abs(v) / (plus / minus), grid))
     delta = M.delta()
-    ratio = abs_det / weight(delta)
+    plus, minus = weight(delta)
+    ratio = abs_det / (plus / minus)
     det_rep = _ellipticity_report(tau, xi, ratio, grid, MIXED_ORDER_FLOOR)
     rays = _ray_decay_witness(tau, xi, ratio, grid)
     failing = [r for r in rays

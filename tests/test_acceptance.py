@@ -43,10 +43,11 @@ from maxreg.polygons import (
     trace_order_function,
 )
 from maxreg.spectral import (
+    Field,
     TorusGrid,
     apply_multiplier,
     project_oscillatory,
-    random_band_limited_field,
+    random_band_limited_coefficients,
     solve_whole_scalar,
     solve_whole_system,
 )
@@ -186,7 +187,8 @@ def test_acceptance_5_boundary_matrices():
 def test_acceptance_6_whole_space_solver():
     t0 = time.perf_counter()
     grid = TorusGrid()
-    u_star = project_oscillatory(random_band_limited_field(grid, seed=1))
+    u_star = project_oscillatory(Field.from_coefficients(
+        grid, random_band_limited_coefficients(grid, seed=1)))
     rhs = apply_multiplier(u_star, d_symbol())
     res = solve_whole_scalar(d_symbol(), rhs, mu=MU_D)
     back = apply_multiplier(res.u, d_symbol())
@@ -196,13 +198,12 @@ def test_acceptance_6_whole_space_solver():
         < 1e-9 * np.abs(u_star.data).max()
 
     L = chg_matrix()
-    us = tuple(project_oscillatory(random_band_limited_field(grid, seed=2 + i))
-               for i in range(2))
+    us = tuple(project_oscillatory(Field.from_coefficients(
+        grid, random_band_limited_coefficients(grid, seed=2 + i))) for i in range(2))
     f = []
     for i in range(2):
         a = apply_multiplier(us[0], L.entries[i][0])
         b = apply_multiplier(us[1], L.entries[i][1])
-        from maxreg.spectral import Field
         f.append(Field(grid, a.data + b.data))
     res_sys = solve_whole_system(L, f)
     assert res_sys.diagnostics["relative_residual"] < 1e-9

@@ -50,9 +50,9 @@ def test_traced_sampled_job():
     # one roots call and one outermost evaluation of the 512 x 257 mesh
     ("boundary_neumann", {"factorization.roots_calls": 1,
                           "symbols.grid_points": 131584}),
-    # u*: two fields made and transformed back; u: two fields made, and
-    # each transformed once for the residual
-    ("whole", {"spectral.transforms": 8}),
+    # u*: two fields made from coefficients; u: two fields made, and each
+    # transformed once for the residual
+    ("whole", {"spectral.transforms": 6}),
 ])
 def test_traced_certify_job(name, expect):
     spec, = [s for s in _workloads().certify_pass(1, 0) if s["name"] == name]

@@ -30,9 +30,12 @@ from maxreg.polygons import (
     of_const,
     of_neg,
     trace_order_function,
+    weight_eval,
 )
 from maxreg.symbols import (
     GridSpec,
+    _is_zero,
+    _upper_report,
     MatrixSymbol,
     PolySymbol,
     det_values,
@@ -456,3 +459,35 @@ def test_builtin_chi_is_the_default_target():
     for make in builtin_boundary_conditions().values():
         for op in make():
             assert _default_chi(replace(op, chi=None), ZERO_OF) == op.chi
+
+
+def _file_pair_m1():
+    """The Neumann pair read back from a boundary file with m = 1, nu = 1."""
+    return bc_from_jsonable(bc_to_jsonable(neumann_pair_13(), m=1, nu=of_const(1)))
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: (neumann_pair_13(), 0, ZERO_OF),
+    lambda: (dirichlet_pair(), 0, ZERO_OF),
+    _file_pair_m1,
+], ids=["neumann_13", "dirichlet", "file_m1"])
+@pytest.mark.parametrize("grid", [GridSpec(), GridSpec(n_tau=40, n_xi=23)],
+                         ids=["default", "40x23"])
+def test_exact_zero_entry_reports_match_the_full_mesh(pair, grid):
+    """An exact-zero entry of B^(m) is reported without mesh work; every
+    entry report equals the one taken from |v| / W on the full mesh."""
+    bc, m, nu = pair()
+    out = complementing_check(bc, nu=nu, m=m, grid=grid)
+    B = out["matrix"]
+    tau, xi, vals, _ = sample_matrix(B, grid)
+    zeros = 0
+    for i, s in enumerate(B.row_orders):
+        for j, t in enumerate(B.col_orders):
+            v = vals[i][j]
+            zeros += int(_is_zero(v))
+            want = _upper_report(tau, xi, np.abs(v) / weight_eval(of_add(s, t), tau, xi),
+                                 grid)
+            got = out["entries"][f"{i},{j}"]
+            assert (got.c_upper, got.passed, got.details) \
+                == (want.c_upper, want.passed, want.details)
+    assert zeros == {0: 8, 1: 14}[m]

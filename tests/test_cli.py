@@ -319,6 +319,19 @@ def test_solve_whole_manufactured(capsys, tmp_path):
         assert (tmp_path / name.split("/")[-1]).exists()
 
 
+@pytest.mark.parametrize("grid", ["K=8,N=32", "K=4,n=2,N=16"])
+def test_solve_whole_recovers_u_star(capsys, grid):
+    """u* drawn on the live band in coefficients is recovered to round-off,
+    and each norm table holds the l2 and mu_D rows."""
+    code, rep = run_json(capsys, "solve", "whole", "--grid", grid, "--seed", "4")
+    data = rep["data"]
+    assert code == 0
+    assert data["recovery_error"] <= 1e-13
+    assert data["relative_residual"] <= 1e-13
+    for name in ("u1", "u2", "f1", "f2"):
+        assert [r["name"] for r in data[f"norms_{name}"]] == ["l2", "mu_D"]
+
+
 @pytest.mark.parametrize("argv", [
     ("chg",),
     ("solve", "whole", "--grid", "K=4,N=16"),

@@ -11,12 +11,12 @@ from maxreg.spectral import (
     TorusGrid,
     apply_multiplier,
     apply_system,
+    coefficient_norms,
     mode_field,
-    norm_table,
     norm_weighted,
     plain_l2_norm,
     project_oscillatory,
-    random_band_limited_field,
+    random_band_limited_coefficients,
     read_field,
     solve_whole_scalar,
     solve_whole_system,
@@ -28,8 +28,12 @@ from maxreg.symbols import MatrixSymbol, PolySymbol, SymbolFn
 GRID = TorusGrid()
 
 
+def _band_limited(grid, seed):
+    return Field.from_coefficients(grid, random_band_limited_coefficients(grid, seed=seed))
+
+
 def _rand(seed=1, grid=GRID):
-    return project_oscillatory(random_band_limited_field(grid, seed=seed))
+    return project_oscillatory(_band_limited(grid, seed))
 
 
 def _weight_symbol(mu):
@@ -281,7 +285,7 @@ def test_field_io_round_trip(tmp_path):
 
 def test_field_io_n2(tmp_path):
     grid = TorusGrid(K=2, N=16, n=2)
-    f = project_oscillatory(random_band_limited_field(grid, seed=16))
+    f = project_oscillatory(_band_limited(grid, 16))
     path = tmp_path / "field2.bin"
     write_field(path, f)
     g = read_field(path)
@@ -290,7 +294,7 @@ def test_field_io_n2(tmp_path):
 
 
 def test_band_limited_spectrum_decays():
-    f = random_band_limited_field(GRID, seed=17)
+    f = _band_limited(GRID, 17)
     c = np.abs(f.coefficients())
     nyquist = c[:, GRID.N // 2]
     assert nyquist.max() < 1e-12 * c.max()
@@ -300,7 +304,7 @@ def test_band_limited_spectrum_decays():
 
 def test_n2_solver():
     grid = TorusGrid(K=4, N=32, n=2)
-    f = project_oscillatory(random_band_limited_field(grid, seed=18))
+    f = project_oscillatory(_band_limited(grid, 18))
     res = solve_whole_scalar(d_symbol(2), apply_multiplier(f, d_symbol(2)))
     assert np.abs(res.u.data - f.data).max() / np.abs(f.data).max() < 1e-10
 
@@ -352,9 +356,35 @@ def test_xi_norm_mesh_broadcasts_over_time():
 
 
 def test_norm_table():
-    f = _rand(19)
-    rows = norm_table(f.grid, f.coefficients(), [("l2", 0), ("mu_D", MU_D)])
-    assert rows[0]["name"] == "l2"
-    assert rows[0]["norm"] == pytest.approx(norm_weighted(f, 0))
-    assert rows[1]["norm"] > rows[0]["norm"]
+    """The norms of several coefficient arrays share one weight table; each
+    array's row equals its norms taken alone."""
+    f, g = _rand(19), _rand(20)
+    rows, other = coefficient_norms(f.grid, [f.coefficients(), g.coefficients()],
+                                    [0, MU_D])
+    assert rows[0] == pytest.approx(norm_weighted(f, 0))
+    assert rows[1] > rows[0]
+    assert other == coefficient_norms(g.grid, [g.coefficients()], [0, MU_D])[0]
 
+
+@pytest.mark.parametrize("grid", [TorusGrid(K=4, N=32), TorusGrid(K=3, N=16, n=2)],
+                         ids=["n1", "n2"])
+def test_band_limited_coefficients(grid):
+    """Normals only on the live band, in C order (one real and imaginary
+    pair per entry): zero on the k = 0 slab and wherever the envelope is
+    below 1e-14; a seed gives one array, the next seed another."""
+    c = random_band_limited_coefficients(grid, seed=5)
+    assert c.shape == grid.shape and c.dtype == complex
+    k_width = max(1.0, grid.K / 6.0)
+    xi_width = np.abs(grid.xi_axis()).max() / 6.0
+    envelope = np.exp(-(grid.tau_mesh() / (grid.omega * k_width)) ** 2
+                      - (grid.xi_norm_mesh() / xi_width) ** 2)
+    envelope = np.broadcast_to(envelope, grid.shape)
+    assert not c[grid.K].any()
+    assert not c[envelope < 1e-14].any()
+    live = envelope >= 1e-14
+    live[grid.K] = False
+    z = np.random.default_rng(5).standard_normal((np.count_nonzero(live), 2))
+    np.testing.assert_array_equal(c[live], (z[:, 0] + 1j * z[:, 1]) * envelope[live])
+    np.testing.assert_array_equal(c, random_band_limited_coefficients(grid, seed=5))
+    assert not np.array_equal(c, random_band_limited_coefficients(grid, seed=6))
+    assert Field.from_coefficients(grid, c).oscillatory
