@@ -35,9 +35,7 @@ from .symbols import (
     PolySymbol,
     SymbolFn,
     as_symbol,
-    invertibility_report,
     mixed_order_certify,
-    sample_matrix,
 )
 
 F = Fraction
@@ -144,6 +142,13 @@ def build_extended_matrix(bc: Sequence[BoundaryOperator], m: int = 0,
     if chg_shape(MU_D + nu) is None:
         raise ValueError("nu does not keep mu_D + nu CHG-shaped")
     size = 4 + m
+    # the orders first: a trace index they do not have is refused before
+    # the (4 + m)^2 entries are filled
+    col_orders = tuple(as_diff(trace_order_function(MU_D + nu, j))
+                       for j in range(size))
+    row_orders = tuple(
+        [of_neg(_default_chi(op, nu)) for op in bc]
+        + [of_neg(trace_order_function(MU_MINUS + nu, i)) for i in range(size - 2)])
     zero = as_symbol(0)
     d0_plus, d1_plus = dplus_band()
     band = {0: d0_plus, 1: d1_plus, 2: as_symbol(-1)}
@@ -157,18 +162,7 @@ def build_extended_matrix(bc: Sequence[BoundaryOperator], m: int = 0,
             else:
                 row.append(band.get(j + 2 - i, zero))
         rows.append(tuple(row))
-    col_orders = tuple(as_diff(trace_order_function(MU_D + nu, j))
-                       for j in range(size))
-    row_orders = tuple(
-        [of_neg(_default_chi(op, nu)) for op in bc]
-        + [of_neg(trace_order_function(MU_MINUS + nu, i)) for i in range(size - 2)])
     return MatrixSymbol(tuple(rows), row_orders=row_orders, col_orders=col_orders)
-
-
-def lopatinskii_check(B: MatrixSymbol, grid: GridSpec = GridSpec()) -> dict:
-    """Pointwise invertibility of the extended matrix over the grid."""
-    tau, xi, _, abs_det = sample_matrix(B, grid)
-    return invertibility_report(tau, xi, abs_det)
 
 
 def complementing_check(bc: Sequence[BoundaryOperator],
@@ -209,17 +203,12 @@ def builtin_boundary_conditions() -> dict:
 # Boundary-condition definition files
 # ---------------------------------------------------------------------------
 
-def _coeff_to_jsonable(sym):
-    if isinstance(sym, PolySymbol):
-        return {"poly": sym.to_jsonable()}
-    if sym.name in ("d0_plus", "d1_plus"):  # a member of a dplus_band()
-        return {"ref": sym.name}
-    raise ValueError(f"coefficient {sym.name or sym!r} is not serializable")
-
-
 def _coeff_from_jsonable(obj, band: dict):
     """A number (BoundaryOperator takes it as the constant symbol), a named
-    D+ coefficient from band or a PolySymbol."""
+    D+ coefficient from band or a PolySymbol; JSON true and false are
+    refused, not read as 1 and 0."""
+    if isinstance(obj, bool):
+        raise ValueError(f"a coefficient must be a number or an object, got {obj!r}")
     if isinstance(obj, (int, float)):
         return obj
     if "ref" in obj:
@@ -227,19 +216,6 @@ def _coeff_from_jsonable(obj, band: dict):
     if "re" in obj or "im" in obj:
         return complex(obj.get("re", 0.0), obj.get("im", 0.0))
     return PolySymbol.from_jsonable(obj["poly"])
-
-
-def bc_to_jsonable(bc: Sequence[BoundaryOperator], m: int = 0,
-                   nu: OrderFunction = ZERO_OF) -> dict:
-    return {
-        "ops": [{
-            "coeffs": [_coeff_to_jsonable(c) for c in op.coeffs],
-            "chi": None if op.chi is None else op.chi.to_jsonable(),
-            "name": op.name,
-        } for op in bc],
-        "m": m,
-        "nu": nu.to_jsonable(),
-    }
 
 
 def bc_from_jsonable(obj) -> tuple[tuple[BoundaryOperator, ...], int, OrderFunction]:

@@ -41,8 +41,6 @@ F = Fraction
 MU_D: OrderFunction = o_elem(F(1, 2)).scale(2) + of_const(2)  # max(4, 2+gamma)
 MU_PLUS: OrderFunction = o_elem(F(1, 2)) + of_const(1)  # (1/2) mu_D
 MU_MINUS: OrderFunction = MU_PLUS
-O_HALF: OrderFunction = o_elem(F(1, 2))
-O_ZERO: OrderFunction = o_elem(0)
 T1_ORDER: OrderFunction = order_function_of(
     polygon_from_exponents([(3, 0), (1, 1)]))  # max(3, 1+gamma)
 T2_ORDER: OrderFunction = of_const(2)
@@ -118,18 +116,6 @@ def dplus_coeffs(tau, xi_prime_norm) -> FactorCoeffs:
     )
 
 
-def d_plus_eval(tau, xi_prime_norm, xi_n):
-    rq = roots(tau, xi_prime_norm)
-    xin = np.asarray(xi_n)
-    return (xin - rq.rho1_plus) * (xin - rq.rho2_plus)
-
-
-def d_minus_eval(tau, xi_prime_norm, xi_n):
-    rq = roots(tau, xi_prime_norm)
-    xin = np.asarray(xi_n)
-    return (xin - rq.rho1_minus) * (xin - rq.rho2_minus)
-
-
 def d_eval_split(tau, xi_prime_norm, xi_n):
     """d_symbol() at |xi| = sqrt(|xi'|^2 + xi_n^2); xi_n may be complex (a
     root).  D holds even powers of |xi| only, so the branch of the square
@@ -137,12 +123,6 @@ def d_eval_split(tau, xi_prime_norm, xi_n):
     xi_n, avoids cancellation near the roots."""
     xi2 = np.asarray(xi_prime_norm, dtype=float) ** 2 + np.asarray(xi_n) ** 2
     return d_symbol()(np.asarray(tau, dtype=float), np.sqrt(xi2 + 0j))
-
-
-def z_func(tau):
-    """Z(tau) = -i tau - sqrt(-tau^2 - 4 i tau); |Re Z| -> 2 as |tau| -> inf."""
-    tau = np.asarray(tau, dtype=float)
-    return -1j * tau - np.sqrt(-tau.astype(complex) ** 2 - 4j * tau)
 
 
 def factor_residual(grid: GridSpec = GridSpec()) -> float:
@@ -161,28 +141,3 @@ def factor_residual(grid: GridSpec = GridSpec()) -> float:
     prod = (xin - rho1m) * (xin - rho2m) * (xin - rho1p) * (xin - rho2p)
     D = d_eval_split(tau, xip, xin)
     return float((np.abs(D - prod) / (1.0 + np.abs(D))).max())
-
-
-def root_bounds_check(grid: GridSpec = GridSpec()):
-    """Two-sided comparison of |rho_1| with W_{o_{1/2}} and |rho_2| with W_{o_0},
-    for |tau| >= grid.lam."""
-    from .polygons import weight_eval
-    from .symbols import CertReport
-
-    tau, xip = mesh_axes(grid)
-    rq = roots(tau, xip)
-    w_half = weight_eval(O_HALF, tau, xip)
-    w_zero = weight_eval(O_ZERO, tau, xip)
-    r1 = np.abs(rq.rho1_plus) / w_half
-    r2 = np.abs(rq.rho2_plus) / w_zero
-    return CertReport(
-        kind="root_bounds",
-        passed=bool(r1.min() > 0 and r2.min() > 0),
-        c_lower=float(min(r1.min(), r2.min())),
-        c_upper=float(max(r1.max(), r2.max())),
-        grid=grid,
-        details={
-            "rho1_over_Wohalf": {"min": float(r1.min()), "max": float(r1.max())},
-            "rho2_over_Wozero": {"min": float(r2.min()), "max": float(r2.max())},
-            "re_z_at_tau_max": float(np.abs(z_func(grid.tau_max).real)),
-        })

@@ -263,14 +263,6 @@ def _scatter(grid: HalfGrid, index, cols: Optional[np.ndarray]) -> Optional[np.n
     return out
 
 
-def zero_half_field(grid: HalfGrid) -> HalfField:
-    return HalfField(grid, None)
-
-
-def exp_field(grid: HalfGrid, terms_by_column: dict) -> HalfField:
-    return HalfField(grid, None, terms_by_column)
-
-
 # ---------------------------------------------------------------------------
 # Exponential-sum arithmetic on (rho[..., s], coef[..., s, p])
 # ---------------------------------------------------------------------------

@@ -107,20 +107,6 @@ def polygon_from_exponents(points) -> NewtonPolygon:
     return NewtonPolygon(tuple(_hull_ccw(aug)))
 
 
-def contains(p: NewtonPolygon, q) -> bool:
-    """Exact point-in-closed-polygon test (CCW half-plane intersection)."""
-    q = qpoint(q[0], q[1])
-    verts = p.vertices
-    if len(verts) == 1:
-        return q == verts[0]
-    if len(verts) == 2:
-        a, b = verts
-        return _cross(a, b, q) == 0 and min(a.r, b.r) <= q.r <= max(a.r, b.r) \
-            and min(a.s, b.s) <= q.s <= max(a.s, b.s)
-    n = len(verts)
-    return all(_cross(verts[i], verts[(i + 1) % n], q) >= 0 for i in range(n))
-
-
 def normal_slopes(p: NewtonPolygon) -> list[Optional[Fraction]]:
     """Slopes gamma_j = (r_j - r_{j+1})/(s_{j+1} - s_j) along the upper chain.
 
@@ -253,11 +239,6 @@ def of_const(c: RatLike) -> OrderFunction:
 ZERO_OF = of_const(0)
 
 
-def of_linear(r: RatLike, s: RatLike) -> OrderFunction:
-    """mu_{(s,r)}(gamma) = r + s*gamma (single exponent point (r, s))."""
-    return OrderFunction(((None, frac(r), frac(s)),))
-
-
 def o_elem(y: RatLike) -> OrderFunction:
     """Elementary order function o_y(gamma) = max(1, y*gamma)."""
     y = frac(y)
@@ -290,16 +271,6 @@ def polygon_of(mu: OrderFunction) -> NewtonPolygon:
     return polygon_from_exponents([(b, m) for _, b, m in mu.pieces if (b, m) != (0, 0)])
 
 
-def shape_queries(mu: OrderFunction) -> dict:
-    if not mu.strictly_positive:
-        raise ValueError("shape_queries requires a strictly positive order function")
-    return {
-        "is_chg_shaped": chg_shape(mu) is not None,
-        "is_regular_in_time": is_regular_in_time(mu),
-        "ord": mu.ord,
-    }
-
-
 def is_regular_in_time(mu: OrderFunction) -> bool:
     """gamma_1 > 0: the polygon starts with a flat piece of positive height r_1."""
     _, b, m = mu.pieces[0]
@@ -324,14 +295,6 @@ def elementary_decomposition(mu: OrderFunction) -> list[tuple[Fraction, Fraction
         y = Fraction(0) if b.s == a.s else (b.s - a.s) / e
         out.append((y, e))
     return out
-
-
-def of_from_elementary(terms) -> OrderFunction:
-    acc = None
-    for y, e in terms:
-        t = o_elem(y).scale(e)
-        acc = t if acc is None else acc + t
-    return acc if acc is not None else ZERO_OF
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +350,6 @@ def as_diff(mu: OFLike) -> OrderFunctionDiff:
 def of_add(a: OFLike, b: OFLike) -> OrderFunctionDiff:
     a, b = as_diff(a), as_diff(b)
     return OrderFunctionDiff(a.plus + b.plus, a.minus + b.minus)
-
-
-def of_sub(a: OFLike, b: OFLike) -> OrderFunctionDiff:
-    a, b = as_diff(a), as_diff(b)
-    return OrderFunctionDiff(a.plus + b.minus, a.minus + b.plus)
-
-
-def of_scale(a: OFLike, c: RatLike) -> OrderFunctionDiff:
-    c = frac(c)
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
-    a = as_diff(a)
-    return OrderFunctionDiff(a.plus.scale(c), a.minus.scale(c))
 
 
 def of_neg(a: OFLike) -> OrderFunctionDiff:
@@ -538,20 +488,3 @@ def trace_order_function(mu: OrderFunction, j: int) -> OrderFunction:
         base = o_elem(y).scale(shape.r1 - shape.r2)
         return base + of_const(Fraction(shape.r2) - j - Fraction(1, 2))
     return o_elem(y).scale(Fraction(shape.r1) - j - Fraction(1, 2))
-
-
-def shift_left_clipped(p: NewtonPolygon, delta: RatLike) -> NewtonPolygon:
-    """Translate a polygon left by delta and clip at the s-axis (trace rule)."""
-    delta = frac(delta)
-    verts = [(v.r - delta, v.s) for v in p.vertices]
-    clipped: list[tuple[Fraction, Fraction]] = []
-    n = len(verts)
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        if a[0] >= 0:
-            clipped.append(a)
-        if (a[0] < 0) != (b[0] < 0):
-            t = (Fraction(0) - a[0]) / (b[0] - a[0])
-            clipped.append((Fraction(0), a[1] + t * (b[1] - a[1])))
-    clipped = [(r, s) for r, s in clipped if r >= 0 and s >= 0]
-    return polygon_from_exponents(clipped)

@@ -5,19 +5,19 @@ box: time is kept spectral (modes k = -K..K, frequencies tau_k = 2 pi k/T),
 space is sampled on a regular grid.  All operators of interest are Fourier
 multipliers, hence diagonal after a spatial FFT; on band-limited data the
 multiplier algebra is exact and discretization error lives entirely in the
-data truncation.  The purely oscillatory projection removes the k = 0 slab,
-on which the symbols below may degenerate.
+data truncation.  Oscillatory data vanish on the k = 0 slab, on which the
+symbols below may degenerate; the solve sets that slab to zero.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import asdict, dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .polygons import OFLike, as_diff, of_add, smooth_weight_eval
+from .polygons import OFLike, as_diff, smooth_weight_eval
 from .symbols import MatrixSymbol, as_symbol, det_values
 
 
@@ -61,11 +61,6 @@ class TorusGrid:
     @property
     def omega(self) -> float:
         return 2.0 * np.pi / self.T
-
-    @property
-    def lam(self) -> float:
-        """Smallest live |tau|: the oscillatory spectral gap 2 pi / T."""
-        return self.omega
 
     def k_values(self) -> np.ndarray:
         return np.arange(-self.K, self.K + 1)
@@ -134,25 +129,6 @@ class Field:
                             norm="forward")
         return Field(grid, data)
 
-    def sample_time(self, t) -> np.ndarray:
-        """Evaluate the time series at physical times t (spatial samples kept)."""
-        t = np.asarray(t, dtype=float)
-        phases = np.exp(1j * np.multiply.outer(t, self.grid.tau_values()))
-        return np.tensordot(phases, self.data, axes=(-1, 0))
-
-
-def zero_field(grid: TorusGrid) -> Field:
-    return Field(grid, np.zeros(grid.shape, complex))
-
-
-def mode_field(grid: TorusGrid, k: int, xi_index, amplitude=1.0) -> Field:
-    """A single discrete mode e^{i(tau_k t + xi.x)}."""
-    coeffs = np.zeros(grid.shape, complex)
-    idx = (k + grid.K,) + (tuple(np.atleast_1d(xi_index)) if grid.n > 1
-                           else (int(np.atleast_1d(xi_index)[0]),))
-    coeffs[idx] = amplitude
-    return Field.from_coefficients(grid, coeffs)
-
 
 def random_band_limited_coefficients(grid: TorusGrid, seed: int = 0) -> np.ndarray:
     """(k, xi) coefficients of a random smooth oscillatory field: complex
@@ -172,12 +148,6 @@ def random_band_limited_coefficients(grid: TorusGrid, seed: int = 0) -> np.ndarr
     coeffs = np.zeros(grid.shape, complex)
     coeffs[live] = band
     return coeffs
-
-
-def project_oscillatory(f: Field) -> Field:
-    data = f.data.copy()
-    data[f.grid.K] = 0.0
-    return Field(f.grid, data)
 
 
 def _symbol_values(m, grid: TorusGrid) -> np.ndarray:
@@ -205,11 +175,6 @@ def _require_finite(vals: np.ndarray, grid: TorusGrid) -> None:
             f"symbol not finite at k={bad[0] - grid.K}, grid index {tuple(bad[1:])}")
 
 
-def apply_multiplier(f: Field, m) -> Field:
-    """op[m] f: the 1x1 system op[(m)] (f)."""
-    return apply_system(MatrixSymbol(((m,),)), (f,))[0]
-
-
 def coefficient_norms(grid: TorusGrid, cs: Sequence[np.ndarray],
                       mus: Sequence[OFLike]) -> list[list[float]]:
     """|| op[w_mu] f ||_{L^2(G)} for each mu, by discrete Plancherel with
@@ -224,24 +189,6 @@ def coefficient_norms(grid: TorusGrid, cs: Sequence[np.ndarray],
         power = np.abs(c) ** 2
         out.append([float(np.sqrt(volume * float(np.sum(power * w)))) for w in w2])
     return out
-
-
-def norms_weighted(f: Field, mus: Sequence[OFLike]) -> list[float]:
-    """|| op[w_mu] f ||_{L^2(G)} for each mu, from one transform of f."""
-    return coefficient_norms(f.grid, [f.coefficients()], mus)[0]
-
-
-def norm_weighted(f: Field, mu: OFLike = 0) -> float:
-    """|| op[w_mu] f ||_{L^2(G)} by discrete Plancherel with smooth weights."""
-    return norms_weighted(f, [mu])[0]
-
-
-def plain_l2_norm(f: Field) -> float:
-    """Direct space-time quadrature of |f|^2 (trapezoid = exact for modes)."""
-    grid = f.grid
-    # time integral via Plancherel over modes, spatial by the sample sum
-    cell = (grid.Lx / grid.N) ** grid.n
-    return float(np.sqrt(grid.T * cell * np.sum(np.abs(f.data) ** 2)))
 
 
 @dataclass
@@ -265,20 +212,6 @@ def _invert_values(vals: np.ndarray, grid: TorusGrid) -> np.ndarray:
     np.divide(1.0, vals, out=vals)
     vals[grid.K] = 0.0
     return vals
-
-
-def solve_whole_scalar(P, f: Field, mu: Optional[OFLike] = None,
-                       nu: OFLike = 0) -> SolveResult:
-    """u = op[1/P] f, the 1x1 system solve, with the norm diagnostics of
-    u and f."""
-    res = solve_whole_system(MatrixSymbol(((P,),)), (f,))
-    u, diag = res.u[0], res.diagnostics
-    diag["norm_f_nu"] = norm_weighted(f, nu)
-    if mu is not None:
-        diag["norm_u_mu_plus_nu"] = norm_weighted(u, of_add(mu, nu))
-        diag["constant"] = (diag["norm_u_mu_plus_nu"] / diag["norm_f_nu"]
-                           if diag["norm_f_nu"] > 0 else 0.0)
-    return SolveResult(u=u, diagnostics=diag)
 
 
 def system_values(L: MatrixSymbol, grid: TorusGrid) -> tuple:
@@ -356,32 +289,6 @@ def system_residual(vals: Sequence, u: Sequence[Field],
     res = sum(map(_distance_sq, system_times(vals, uc), fc))
     scale = sum(float(np.sum(np.abs(c) ** 2)) for c in fc)
     return (float(np.sqrt(res / scale)) if scale else 0.0), uc
-
-
-def apply_system(L: MatrixSymbol, u: Sequence[Field]) -> tuple:
-    """op[L] u for a system: one transform of each u_j and each result."""
-    if len(u) != L.m:
-        raise ValueError("one field per column")
-    if not all(uj.oscillatory for uj in u):
-        raise ValueError("multipliers act on purely oscillatory fields")
-    grid = u[0].grid
-    rows = system_times(system_values(L, grid), [uj.coefficients() for uj in u])
-    return tuple(Field.from_coefficients(grid, c) for c in rows)
-
-
-def solve_whole_system(L: MatrixSymbol, f: Sequence[Field]) -> SolveResult:
-    """u = op[ad L] op[1/det L] f, frequency by frequency, from one
-    evaluation of L's entries."""
-    if len(f) != L.m:
-        raise ValueError("one right-hand side per equation")
-    if not all(fi.oscillatory for fi in f):
-        raise ValueError("whole-space solves act on oscillatory data")
-    grid = f[0].grid
-    vals = system_values(L, grid)
-    fc = [fi.coefficients() for fi in f]
-    u = system_solve(vals, fc, grid)
-    residual, _ = system_residual(vals, u, fc)
-    return SolveResult(u=u, diagnostics={"relative_residual": residual})
 
 
 # ---------------------------------------------------------------------------

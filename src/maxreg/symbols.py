@@ -446,11 +446,6 @@ def invertibility_report(tau, xi, abs_det) -> dict:
             "argmin": _point(tau, xi, idx)}
 
 
-def upper_bound_certify(sym, mu: OFLike, grid: GridSpec = GridSpec()) -> CertReport:
-    tau, xi, ratio = _sample_ratio(as_symbol(sym), as_diff(mu), grid)
-    return _upper_report(tau, xi, ratio, grid)
-
-
 def ellipticity_certify(sym, mu: OFLike, grid: GridSpec = GridSpec(),
                         floor: float = 0.0) -> CertReport:
     """N-ellipticity of sym for mu on the grid, for |tau| >= grid.lam."""

@@ -15,16 +15,15 @@ from maxreg.boundary import (
     build_extended_matrix,
     complementing_check,
     dirichlet_pair,
-    lopatinskii_check,
     neumann_pair_13,
 )
 from maxreg.factorization import MU_D, chg_matrix, d_symbol, dplus_coeffs, roots
 from maxreg.halfspace import (
+    HalfField,
     HalfGrid,
     apply_symbol,
     dirichlet_failure_probe,
     eval_terms,
-    exp_field,
     halfspace_norm,
     random_exp_field,
     solve_half_chg_system,
@@ -45,13 +44,19 @@ from maxreg.polygons import (
 from maxreg.spectral import (
     Field,
     TorusGrid,
-    apply_multiplier,
-    project_oscillatory,
     random_band_limited_coefficients,
-    solve_whole_scalar,
-    solve_whole_system,
+    system_residual,
+    system_solve,
+    system_times,
+    system_values,
 )
-from maxreg.symbols import SymbolFn, det_values, ellipticity_certify, mixed_order_certify
+from maxreg.symbols import (
+    MatrixSymbol,
+    SymbolFn,
+    det_values,
+    ellipticity_certify,
+    mixed_order_certify,
+)
 from maxreg.polygons import smooth_weight_eval
 
 O_HALF = o_elem(F(1, 2))
@@ -170,12 +175,11 @@ def test_acceptance_5_boundary_matrices():
     out_m1 = complementing_check(neumann_pair_13(), nu=of_const(1))
     assert out_m1["passed"] and out_m1["matrix"].m == 5
 
-    Bd = build_extended_matrix(dirichlet_pair())
-    ls = lopatinskii_check(Bd)
+    out_d = complementing_check(dirichlet_pair())
+    ls = out_d["lopatinskii"]
     assert ls["pass"]
     assert abs(ls["min_abs_det"] - 1.0) < 1e-12
     assert abs(ls["max_abs_det"] - 1.0) < 1e-12
-    out_d = complementing_check(dirichlet_pair())
     assert not out_d["passed"]
     w = out_d["decay_witness"]
     assert w is not None and w["ray_xi"] == 0.0
@@ -185,39 +189,43 @@ def test_acceptance_5_boundary_matrices():
 
 
 def test_acceptance_6_whole_space_solver():
+    """The whole-space primitives that solve whole composes: op[m] is
+    system_times on the coefficients and its inverse system_solve."""
     t0 = time.perf_counter()
     grid = TorusGrid()
-    u_star = project_oscillatory(Field.from_coefficients(
-        grid, random_band_limited_coefficients(grid, seed=1)))
-    rhs = apply_multiplier(u_star, d_symbol())
-    res = solve_whole_scalar(d_symbol(), rhs, mu=MU_D)
-    back = apply_multiplier(res.u, d_symbol())
-    assert np.abs(back.data - rhs.data).max() \
-        < 1e-9 * np.abs(rhs.data).max()
-    assert np.abs(res.u.data - u_star.data).max() \
-        < 1e-9 * np.abs(u_star.data).max()
 
-    L = chg_matrix()
-    us = tuple(project_oscillatory(Field.from_coefficients(
-        grid, random_band_limited_coefficients(grid, seed=2 + i))) for i in range(2))
-    f = []
-    for i in range(2):
-        a = apply_multiplier(us[0], L.entries[i][0])
-        b = apply_multiplier(us[1], L.entries[i][1])
-        f.append(Field(grid, a.data + b.data))
-    res_sys = solve_whole_system(L, f)
-    assert res_sys.diagnostics["relative_residual"] < 1e-9
-    for got, want in zip(res_sys.u, us):
-        assert np.abs(got.data - want.data).max() \
-            < 1e-9 * np.abs(want.data).max()
+    def samples(c):
+        return Field.from_coefficients(grid, c).data
+
+    def scalar(m):  # the entry rows of the 1x1 system (m)
+        return system_values(MatrixSymbol(((m,),)), grid)
+
+    c_star = random_band_limited_coefficients(grid, seed=1)
+    u_star = samples(c_star)
+    D = scalar(d_symbol())
+    rhs = list(system_times(D, [c_star]))
+    u, = system_solve(D, rhs, grid)
+    back = samples(next(system_times(D, [u.coefficients()])))
+    f = samples(rhs[0])
+    assert np.abs(back - f).max() < 1e-9 * np.abs(f).max()
+    assert np.abs(u.data - u_star).max() < 1e-9 * np.abs(u_star).max()
+
+    vals = system_values(chg_matrix(), grid)
+    cs = [random_band_limited_coefficients(grid, seed=2 + i) for i in range(2)]
+    fc = list(system_times(vals, cs))
+    us = system_solve(vals, fc, grid)
+    assert system_residual(vals, us, fc)[0] < 1e-9
+    for got, c in zip(us, cs):
+        want = samples(c)
+        assert np.abs(got.data - want).max() < 1e-9 * np.abs(want).max()
 
     w = SymbolFn(fn=lambda t, x: smooth_weight_eval(MU_D, t, x),
                  oscillatory_only=True)
     w_inv = SymbolFn(fn=lambda t, x: 1.0 / smooth_weight_eval(MU_D, t, x),
                      oscillatory_only=True)
-    g = apply_multiplier(apply_multiplier(u_star, w), w_inv)
-    assert np.abs(g.data - u_star.data).max() \
-        < 1e-12 * np.abs(u_star.data).max()
+    lifted = samples(c_star * scalar(w)[0][0])
+    g = samples(Field(grid, lifted).coefficients() * scalar(w_inv)[0][0])
+    assert np.abs(g - u_star).max() < 1e-12 * np.abs(u_star).max()
     assert time.perf_counter() - t0 < 5.0
 
 
@@ -256,7 +264,7 @@ def test_acceptance_8_neumann_well_posedness():
     f = apply_symbol(u_star, d_symbol())
     tr = traces(u_star, 4)
     res = solve_half_scalar(f, (tr[1], tr[3]), neumann_pair_13())
-    diff = exp_field(grid, {
+    diff = HalfField(grid, None, {
         k: tuple(res.u.exp_terms.get(k, ()))
         + tuple((-c, r, m) for c, r, m in u_star.exp_terms.get(k, ()))
         for k in set(res.u.exp_terms) | set(u_star.exp_terms)})
@@ -301,7 +309,7 @@ def test_acceptance_9_dirichlet_failure():
             k = idx[0] - grid.K
             if abs(k) <= 8:
                 terms[idx] = ((1.0, 0.5j + 1j * abs(k) ** 0.5, 0),)
-        f = exp_field(grid, terms)
+        f = HalfField(grid, None, terms)
         zg = (np.zeros(grid.col_shape, complex),
               np.zeros(grid.col_shape, complex))
         res = solve_half_scalar(f, zg, dirichlet_pair())
@@ -363,7 +371,7 @@ def test_acceptance_10_collocation_oracle():
             (complex(rng_u.normal(), rng_u.normal()),
              complex(rng_u.uniform(-2, 2), rng_u.uniform(1.0, 2.5)), 0)
             for _ in range(3))
-    u_star = exp_field(grid, terms)
+    u_star = HalfField(grid, None, terms)
     f = apply_symbol(u_star, d_symbol())
     tr = traces(u_star, 4)
     rng = np.random.default_rng(10)

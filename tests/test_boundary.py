@@ -11,13 +11,11 @@ from maxreg.boundary import (
     BoundaryOperator,
     _default_chi,
     bc_from_jsonable,
-    bc_to_jsonable,
     build_extended_matrix,
     builtin_boundary_conditions,
     complementing_check,
     dirichlet_pair,
     dplus_band,
-    lopatinskii_check,
     neumann_pair_13,
     trace_operator,
 )
@@ -39,12 +37,18 @@ from maxreg.symbols import (
     MatrixSymbol,
     PolySymbol,
     det_values,
+    invertibility_report,
     mesh_axes,
     mixed_order_certify,
     sample_matrix,
 )
 
 O_HALF = o_elem(F(1, 2))
+
+# the Tr_1/Tr_3 Neumann pair as a boundary file: numbers read as constant
+# coefficients, and each operator without chi targets T_j(mu_D)
+NEUMANN_FILE = {"ops": [{"coeffs": [0, 1, 0, 0]}, {"coeffs": [0, 0, 0, 1]}],
+                "nu": ZERO_OF.to_jsonable()}
 
 
 def stacked(rows):
@@ -169,13 +173,12 @@ def test_neumann_row_orders():
 
 
 def test_lopatinskii_neumann_passes():
-    out = lopatinskii_check(build_extended_matrix(neumann_pair_13()))
+    out = complementing_check(neumann_pair_13())["lopatinskii"]
     assert out["pass"] and out["min_abs_det"] > 0
 
 
 def test_lopatinskii_dirichlet_det_is_one():
-    B = build_extended_matrix(dirichlet_pair())
-    out = lopatinskii_check(B)
+    out = complementing_check(dirichlet_pair())["lopatinskii"]
     assert out["pass"]
     assert abs(out["min_abs_det"] - 1.0) < 1e-12
     assert abs(out["max_abs_det"] - 1.0) < 1e-12
@@ -183,7 +186,8 @@ def test_lopatinskii_dirichlet_det_is_one():
 
 def test_lopatinskii_zero_operators_fail():
     z = BoundaryOperator((0, 0, 0, 0), chi=O_HALF)
-    out = lopatinskii_check(build_extended_matrix((z, z)))
+    tau, xi, _, abs_det = sample_matrix(build_extended_matrix((z, z)), GridSpec())
+    out = invertibility_report(tau, xi, abs_det)
     assert not out["pass"] and out["min_abs_det"] == 0.0
 
 
@@ -286,9 +290,8 @@ def test_dplus_band_matches_the_single_symbols():
 def test_loaded_file_shares_one_band(monkeypatch):
     """A file that names d0_plus and d1_plus takes D+'s coefficients once
     per evaluation at one (tau, xi), whichever operator holds them."""
-    obj = bc_to_jsonable(neumann_pair_13())
-    obj["ops"][0]["coeffs"][0] = {"ref": "d0_plus"}
-    obj["ops"][1]["coeffs"][0] = {"ref": "d1_plus"}
+    obj = {**NEUMANN_FILE, "ops": [{"coeffs": [{"ref": "d0_plus"}, 1, 0, 0]},
+                                   {"coeffs": [{"ref": "d1_plus"}, 0, 0, 1]}]}
     (op1, op2), _, _ = bc_from_jsonable(obj)
     calls = []
     real = boundary.dplus_coeffs
@@ -313,9 +316,9 @@ CERT_MESH = GridSpec(n_tau=256, n_xi=256)
 
 def test_dirichlet_determinant_is_exactly_one():
     M = build_extended_matrix(dirichlet_pair())
-    _, _, vals, _ = sample_matrix(M, CERT_MESH)
+    tau, xi, vals, abs_det = sample_matrix(M, CERT_MESH)
     assert np.all(det_values(vals) == 1.0)
-    rep = lopatinskii_check(M, CERT_MESH)
+    rep = invertibility_report(tau, xi, abs_det)
     assert rep["min_abs_det"] == rep["max_abs_det"] == 1.0
 
 
@@ -350,7 +353,8 @@ def test_complementing_lopatinskii_matches_standalone_check():
     grid = GridSpec(n_tau=16, n_xi=16)
     for bc in (neumann_pair_13(), dirichlet_pair()):
         out = complementing_check(bc, grid=grid)
-        assert out["lopatinskii"] == lopatinskii_check(out["matrix"], grid)
+        tau, xi, _, abs_det = sample_matrix(out["matrix"], grid)
+        assert out["lopatinskii"] == invertibility_report(tau, xi, abs_det)
         assert "invertibility" not in out
 
 
@@ -423,12 +427,14 @@ def test_nu_must_keep_shape():
 
 def test_bc_file_round_trip():
     bc = neumann_pair_13()
-    obj = bc_to_jsonable(bc, m=1, nu=of_const(1))
+    obj = {"ops": [{"coeffs": [{"poly": c.to_jsonable()} for c in op.coeffs],
+                    "chi": op.chi.to_jsonable(), "name": op.name} for op in bc],
+           "m": 1, "nu": of_const(1).to_jsonable()}
     ops, m, nu = bc_from_jsonable(obj)
     assert m == 1 and nu == of_const(1)
     assert len(ops) == 2
     for a, b in zip(ops, bc):
-        assert a.chi == b.chi
+        assert a.chi == b.chi and a.name == b.name
         assert a.coeffs == b.coeffs
         for ca, cb in zip(a.coeffs, b.coeffs):
             assert ca(3.0, 2.0) == pytest.approx(cb(3.0, 2.0))
@@ -463,7 +469,7 @@ def test_builtin_chi_is_the_default_target():
 
 def _file_pair_m1():
     """The Neumann pair read back from a boundary file with m = 1, nu = 1."""
-    return bc_from_jsonable(bc_to_jsonable(neumann_pair_13(), m=1, nu=of_const(1)))
+    return bc_from_jsonable({**NEUMANN_FILE, "m": 1, "nu": of_const(1).to_jsonable()})
 
 
 @pytest.mark.parametrize("pair", [

@@ -5,17 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from maxreg.boundary import (
-    bc_to_jsonable,
-    complementing_check,
-    dirichlet_pair,
-    neumann_pair_13,
-)
+from maxreg.boundary import complementing_check, dirichlet_pair
 from maxreg.cli import _build_parser, _median, main, parse_grid
 from maxreg.factorization import d_symbol
 from maxreg.spectral import Field
@@ -33,6 +29,14 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code in (0, 2), err
     return code, json.loads(out)
+
+
+def _trace_pair_file(j1, j2, **entries):
+    """The boundary file of the pair (Tr_j1, Tr_j2), with m = 0 and nu = 0
+    unless entries say otherwise: numbers read as constant coefficients, and
+    an operator without chi targets T_j(mu_D)."""
+    ops = [{"coeffs": [int(k == j) for k in range(4)]} for j in (j1, j2)]
+    return {"ops": ops, "nu": ZERO_OF.to_jsonable(), **entries}
 
 
 # --- polygon ---------------------------------------------------------------
@@ -138,7 +142,7 @@ def test_overflowing_symbol_is_one_error_line(capsys, tmp_path):
 
 def _boundary_file(tmp_path, coeff):
     """The Tr_1/Tr_3 Neumann pair with coeff in place of b_1 of B_1."""
-    obj = bc_to_jsonable(neumann_pair_13())
+    obj = _trace_pair_file(1, 3)
     obj["ops"][0]["coeffs"][1] = {"poly": coeff}
     path = tmp_path / "bc.json"
     path.write_text(json.dumps(obj))
@@ -162,7 +166,7 @@ def test_non_finite_constant_boundary_file_is_one_error_line(capsys, tmp_path,
                                                              coeffs):
     """Constant coefficients are evaluated once, 0-d; a non-finite entry or
     determinant is still reported at the first mesh point."""
-    obj = bc_to_jsonable(neumann_pair_13())
+    obj = _trace_pair_file(1, 3)
     for (op, k), c in coeffs.items():
         obj["ops"][op]["coeffs"][k] = {"poly": {"n": 1, "radial": True, "monomials": [
             {"re": c, "im": 0.0, "i": 0, "r": 0}]}}
@@ -210,7 +214,7 @@ def test_non_radial_boundary_file_is_one_error_line(capsys, tmp_path, n):
 def test_solve_half_boundary_file_without_chi(capsys, tmp_path):
     """An operator with chi null takes the default target T_j(mu_D), so the
     file solves as the builtin neumann_13 does."""
-    obj = bc_to_jsonable(neumann_pair_13())
+    obj = _trace_pair_file(1, 3)
     obj["ops"][0]["chi"] = None
     path = tmp_path / "bc.json"
     path.write_text(json.dumps(obj))
@@ -226,7 +230,7 @@ def test_check_boundary_file_honours_m_and_nu(capsys, tmp_path):
     library does."""
     nu = of_const(1)
     path = tmp_path / "bc.json"
-    path.write_text(json.dumps(bc_to_jsonable(dirichlet_pair(), m=1, nu=nu)))
+    path.write_text(json.dumps(_trace_pair_file(0, 1, m=1, nu=nu.to_jsonable())))
     _, rep = run_json(capsys, "check", "boundary", str(path),
                       "--grid", "n_tau=64,n_xi=64")
     want = complementing_check(dirichlet_pair(), nu=nu, m=1,
@@ -240,7 +244,7 @@ def test_check_boundary_file_honours_m_and_nu(capsys, tmp_path):
 @pytest.mark.parametrize("m, nu", [(1, of_const(1)), (0, of_const(1)), (1, ZERO_OF)])
 def test_solve_half_refuses_boundary_file_with_m_or_nu(capsys, tmp_path, m, nu):
     path = tmp_path / "bc.json"
-    path.write_text(json.dumps(bc_to_jsonable(neumann_pair_13(), m=m, nu=nu)))
+    path.write_text(json.dumps(_trace_pair_file(1, 3, m=m, nu=nu.to_jsonable())))
     code, out, err = run(capsys, "solve", "half", "--grid", "K=2,Nn=64",
                          "--bc", str(path))
     assert code == 1 and out == ""
@@ -249,7 +253,7 @@ def test_solve_half_refuses_boundary_file_with_m_or_nu(capsys, tmp_path, m, nu):
 
 
 def test_boundary_file_m_must_be_an_integer(capsys, tmp_path):
-    obj = bc_to_jsonable(neumann_pair_13())
+    obj = _trace_pair_file(1, 3)
     obj["m"] = 1.5
     path = tmp_path / "bc.json"
     path.write_text(json.dumps(obj))
@@ -259,8 +263,33 @@ def test_boundary_file_m_must_be_an_integer(capsys, tmp_path):
                    f"m must be an integer, got 1.5\n")
 
 
+def test_boundary_file_coefficient_must_not_be_a_boolean(capsys, tmp_path):
+    """JSON true is refused, not read as the coefficient 1 (which would
+    certify the pair as Tr_1)."""
+    obj = _trace_pair_file(1, 3)
+    obj["ops"][0]["coeffs"][1] = True
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", "boundary", str(path))
+    assert code == 1 and out == ""
+    assert err == (f"error: {path}: bad boundary-condition file: "
+                   f"a coefficient must be a number or an object, got True\n")
+
+
+def test_boundary_file_with_a_large_m_is_refused_at_once(capsys, tmp_path):
+    """A trace index beyond Tr_3 is refused before the (4 + m)^2 entries
+    of B^(m) are filled, so m = 10^6 fails as fast as m = 1 does."""
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(_trace_pair_file(1, 3, m=1_000_000)))
+    start = time.monotonic()
+    code, out, err = run(capsys, "check", "boundary", str(path))
+    assert time.monotonic() - start < 5.0
+    assert code == 1 and out == ""
+    assert err == "error: trace index 4 outside [0, 3]\n"
+
+
 def test_boundary_file_unknown_ref_is_named(capsys, tmp_path):
-    obj = bc_to_jsonable(neumann_pair_13())
+    obj = _trace_pair_file(1, 3)
     obj["ops"][0]["coeffs"][0] = {"ref": "bogus"}
     path = tmp_path / "bc.json"
     path.write_text(json.dumps(obj))

@@ -1,6 +1,7 @@
 """Tests for the root quadruple and the D+/D- factorization."""
 
 import time
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -10,19 +11,16 @@ from hypothesis import strategies as st
 from maxreg.factorization import (
     MU_D,
     MU_PLUS,
-    O_HALF,
     d_eval_split,
-    d_minus_eval,
-    d_plus_eval,
     d_symbol,
     dplus_coeffs,
     factor_residual,
-    root_bounds_check,
     roots,
-    z_func,
 )
 from maxreg.polygons import o_elem, of_const, weight_eval
-from maxreg.symbols import GridSpec, as_symbol, ellipticity_certify
+from maxreg.symbols import GridSpec, as_symbol, ellipticity_certify, mesh_axes
+
+O_HALF = o_elem(F(1, 2))
 
 
 def _random_frequencies(n, seed=0):
@@ -79,14 +77,16 @@ def test_factor_coeffs_match_root_products():
     fc = dplus_coeffs(tau, xip)
     assert np.allclose(fc.d0_plus, rq.rho1_plus * rq.rho2_plus)
     assert np.allclose(fc.d1_plus, 1j * (rq.rho1_plus + rq.rho2_plus))
-    # D+- written as polynomials in (i xi_n) reproduce the evaluators
+    # D+- written as polynomials in (i xi_n) reproduce the root products
     xin = np.linspace(-5, 5, 7)[:, None]
     ixn = 1j * xin
     dplus_poly = -ixn ** 2 + fc.d1_plus * ixn + fc.d0_plus
-    assert np.allclose(dplus_poly, d_plus_eval(tau, xip, xin), atol=1e-8)
+    assert np.allclose(dplus_poly, (xin - rq.rho1_plus) * (xin - rq.rho2_plus),
+                       atol=1e-8)
     # D- is the mirror of D+: its coefficients are (d0_plus, -d1_plus, -1)
     dminus_poly = -ixn ** 2 - fc.d1_plus * ixn + fc.d0_plus
-    assert np.allclose(dminus_poly, d_minus_eval(tau, xip, xin), atol=1e-8)
+    assert np.allclose(dminus_poly, (xin - rq.rho1_minus) * (xin - rq.rho2_minus),
+                       atol=1e-8)
 
 
 def test_roots_full_check_under_five_seconds():
@@ -136,16 +136,23 @@ def test_mu_plus_is_half_mu_d():
 
 
 def test_z_func_real_part_limit():
-    assert abs(z_func(1e6).real) == pytest.approx(2.0, abs=1e-5)
-    assert abs(z_func(-1e6).real) == pytest.approx(2.0, abs=1e-5)
+    """Z(tau) = -i tau - sqrt(-tau^2 - 4 i tau) is 2 (rho_2^+)^2 at xi' = 0,
+    and |Re Z| -> 2 as |tau| -> inf."""
+    for tau in (1e6, -1e6):
+        z = 2.0 * roots(tau, 0.0).rho2_plus ** 2
+        assert abs(z.real) == pytest.approx(2.0, abs=1e-5)
 
 
 def test_root_bounds_report():
-    rep = root_bounds_check()
-    assert rep.passed
-    assert rep.details["rho1_over_Wohalf"]["min"] > 0.3
-    assert rep.details["rho2_over_Wozero"]["min"] > 0.5
-    assert rep.details["rho2_over_Wozero"]["max"] <= 1.0 + 1e-12
+    """|rho_1^+| is comparable to W_{o_{1/2}} and |rho_2^+| to W_{o_0} on
+    the certification mesh."""
+    tau, xip = mesh_axes(GridSpec())
+    rq = roots(tau, xip)
+    r1 = np.abs(rq.rho1_plus) / weight_eval(O_HALF, tau, xip)
+    r2 = np.abs(rq.rho2_plus) / weight_eval(o_elem(0), tau, xip)
+    assert r1.min() > 0.3
+    assert r2.min() > 0.5
+    assert r2.max() <= 1.0 + 1e-12
 
 
 def test_roots_reject_tau_zero():

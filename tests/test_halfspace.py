@@ -43,7 +43,6 @@ from maxreg.halfspace import (
     dminus_inverse_plus,
     dotted_inverse,
     eval_terms,
-    exp_field,
     halfspace_norm,
     random_exp_field,
     read_half_field,
@@ -53,7 +52,6 @@ from maxreg.halfspace import (
     trace_extension,
     traces,
     write_half_field,
-    zero_half_field,
 )
 from maxreg.polygons import smooth_weight_eval
 from maxreg.symbols import PolySymbol, SymbolFn, adjugate
@@ -146,7 +144,7 @@ def test_exp_terms_round_trip_merges_slots():
     """Equal exponents of one column share a slot and their powers add;
     a + a keeps a's slots."""
     idx = (GRID.K + 1,)
-    f = exp_field(GRID, {idx: ((1.0, 0.5j, 0), (4.0, 1j, 0), (2.0, 0.5j, 0),
+    f = HalfField(GRID, None, {idx: ((1.0, 0.5j, 0), (4.0, 1j, 0), (2.0, 0.5j, 0),
                                (3.0, 0.5j, 1))})
     assert f.rho.shape[1] == 2 and f.coef.shape[2] == 2
     assert f.exp_terms == {idx: ((3.0, 0.5j, 0), (3.0, 0.5j, 1), (4.0, 1j, 0))}
@@ -185,7 +183,7 @@ def test_exact_data_holds_no_samples():
     scalar = solve_half_scalar(apply_symbol(u, d_symbol()), (tr[1], tr[3]))
     system = solve_half_chg_system(u, v, tr[1], tr[0])
     for f in (u, ext, apply_symbol(u, d_symbol()), apply_dminus(u), inv, u + v, u - v,
-              scalar.u, *system.u, zero_half_field(grid), exp_field(grid, {})):
+              scalar.u, *system.u, HalfField(grid, None), HalfField(grid, None, {})):
         assert f.samples is None and f.oscillatory
 
 
@@ -241,7 +239,7 @@ def test_grid_auto_truncation_is_sixteen_decay_lengths():
 
 def test_field_rejects_growing_exponent():
     with pytest.raises(ValueError):
-        exp_field(GRID, {(GRID.K + 1,): ((1.0, -0.5j, 0),)})
+        HalfField(GRID, None, {(GRID.K + 1,): ((1.0, -0.5j, 0),)})
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +281,8 @@ def test_dotted_inverse_degenerate_on_one_column():
     rho = 0.3 + 0.9j
     sigma = {idx: rho if r == 1 else rho + 0.2 * (r + 1)
              for r, (idx, _, _) in enumerate(grid.columns())}
-    w = dotted_inverse(exp_field(grid, {i: ((1.0, s, 0),) for i, s in sigma.items()}),
-                       lambda tau, xi: [rho])
+    f = HalfField(grid, None, {i: ((1.0, s, 0),) for i, s in sigma.items()})
+    w = dotted_inverse(f, lambda tau, xi: [rho])
     x, vals = grid.xn(), w.values()
     for idx, s in sigma.items():
         want = (1j * x * np.exp(1j * rho * x) if s == rho
@@ -501,7 +499,7 @@ def test_apply_symbol_matches_symbol_on_exponentials(name, sym):
     terms = {idx: ((complex(rng.normal(), rng.normal()),
                     complex(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0)), 0),)
              for idx, _, _ in grid.columns()}
-    out = apply_symbol(exp_field(grid, terms), sym)
+    out = apply_symbol(HalfField(grid, None, terms), sym)
     for idx, tau, xi in grid.columns():
         (c, rho, _), = terms[idx]
         expect = complex(sym(tau, np.sqrt(xi * xi + rho * rho))) * c
@@ -544,8 +542,8 @@ def test_extension_independence():
              rng.uniform(-1, 1) + 1j * rng.uniform(1.0, 2.0), 0)
             for _ in range(2))
     big = HalfGrid(K=GRID.K, Nn=384, Ln=1.5 * GRID.Ln)
-    u_small = dminus_inverse_plus(exp_field(GRID, terms))
-    u_big = dminus_inverse_plus(exp_field(big, terms))
+    u_small = dminus_inverse_plus(HalfField(GRID, None, terms))
+    u_big = dminus_inverse_plus(HalfField(big, None, terms))
     x = GRID.xn()[: GRID.Nn // 2]
     for a, b in zip(eval_terms(u_small.rho, u_small.coef, x),
                     eval_terms(u_big.rho, u_big.coef, x)):
@@ -562,7 +560,7 @@ def test_halfspace_norm_single_profile_oracle():
     grid = GRID
     k, rho = 2, 0.5 + 1.3j
     idx = (grid.K + k,)
-    u = exp_field(grid, {idx: ((1.0, rho, 0),)})
+    u = HalfField(grid, None, {idx: ((1.0, rho, 0),)})
     tau = k * grid.omega
     # mu_D factors: (sqrt<tau> + <xi'> - d)^2 (1 + <xi'> - d)^2 at xi' = 0
     a1 = np.sqrt(np.sqrt(1 + tau * tau)) + 1.0
@@ -719,10 +717,13 @@ def test_trace_extension_mu_minus_constant_term():
 
 
 def test_trace_extension_requires_chg_shape():
-    from maxreg.polygons import of_linear
+    from fractions import Fraction as F
+
+    from maxreg.polygons import OrderFunction
     with pytest.raises(ValueError):
         # mu(gamma) = 1 + gamma is not regular in time: no flat first piece
-        trace_extension(GRID, _random_traces(GRID, 1), of_linear(1, 1))
+        trace_extension(GRID, _random_traces(GRID, 1),
+                        OrderFunction(((None, F(1), F(1)),)))
 
 
 def test_fd_traces_converge():
@@ -930,7 +931,7 @@ def _random_boundary(grid, seed):
 
 
 def test_system_zero_data_gives_zero():
-    z = zero_half_field(GRID)
+    z = HalfField(GRID, None)
     g0 = np.zeros(GRID.col_shape, complex)
     res = solve_half_chg_system(z, z, g0, g0)
     for ui in res.u:
@@ -1086,7 +1087,7 @@ def test_probe_band_limited_solvable():
             k = idx[0] - grid.K
             if abs(k) <= 8:
                 terms[idx] = ((1.0, 0.5j + 1j * abs(k) ** 0.5, 0),)
-        f = exp_field(grid, terms)
+        f = HalfField(grid, None, terms)
         zg = (np.zeros(grid.col_shape, complex),
               np.zeros(grid.col_shape, complex))
         res = solve_half_scalar(f, zg, dirichlet_pair())

@@ -16,22 +16,17 @@ from maxreg.polygons import (
     ZERO_OF,
     as_diff,
     chg_shape,
-    contains,
     elementary_decomposition,
+    is_regular_in_time,
     normal_slopes,
     o_elem,
     of_add,
     of_const,
-    of_from_elementary,
-    of_linear,
-    of_scale,
-    of_sub,
+    of_neg,
     order_function_of,
     polygon_from_exponents,
     polygon_of,
     qpoint,
-    shape_queries,
-    shift_left_clipped,
     smooth_weight_eval,
     trace_order_function,
     weight_eval,
@@ -43,6 +38,41 @@ ND_VERTICES = [(0, 0), (4, 0), (2, 1), (0, 1)]
 
 def verts(p: NewtonPolygon):
     return [(v.r, v.s) for v in p.vertices]
+
+
+def of_linear(r, s) -> OrderFunction:
+    """mu(gamma) = r + s*gamma, the order function of the single exponent (r, s)."""
+    return OrderFunction(((None, F(r), F(s)),))
+
+
+def of_sub(a, b) -> OrderFunctionDiff:
+    return of_add(a, of_neg(b))
+
+
+def of_from_elementary(terms) -> OrderFunction:
+    """sum e * o_y over the (y, e) terms of an elementary decomposition."""
+    acc = None
+    for y, e in terms:
+        t = o_elem(y).scale(e)
+        acc = t if acc is None else acc + t
+    return acc if acc is not None else ZERO_OF
+
+
+def shift_left_clipped(p: NewtonPolygon, delta) -> NewtonPolygon:
+    """Translate a polygon left by delta and clip at the s-axis (trace rule)."""
+    delta = F(delta)
+    pts = [(v.r - delta, v.s) for v in p.vertices]
+    clipped: list[tuple[F, F]] = []
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        if a[0] >= 0:
+            clipped.append(a)
+        if (a[0] < 0) != (b[0] < 0):
+            t = (F(0) - a[0]) / (b[0] - a[0])
+            clipped.append((F(0), a[1] + t * (b[1] - a[1])))
+    clipped = [(r, s) for r, s in clipped if r >= 0 and s >= 0]
+    return polygon_from_exponents(clipped)
 
 
 # --- polygon_from_exponents ------------------------------------------------
@@ -182,16 +212,24 @@ def test_mixed_order_t1():
 
 def test_of_scale_rejects_nonpositive():
     with pytest.raises(ValueError):
-        of_scale(MU_D, 0)
+        MU_D.scale(0)
 
 
 # --- containment and weights ----------------------------------------------
 
 def test_contains():
-    nd = polygon_from_exponents([(4, 0), (2, 1), (0, 1)])
-    assert contains(nd, (3, F(1, 2)))
-    assert contains(nd, (4, 0))
-    assert not contains(nd, (3, 1))
+    """A point (r, s) >= 0 lies in N_D exactly when r + s*gamma <= mu_D(gamma)
+    for every gamma >= 0.  mu_D is linear on [0, 2] and on [2, inf), with
+    slope 1 (the height of N_D) on the last piece, so gamma in {0, 2} and
+    s <= 1 decide it."""
+    mu = order_function_of(polygon_from_exponents([(4, 0), (2, 1), (0, 1)]))
+
+    def inside(r, s):
+        return all(r + s * g <= mu(g) for g in (0, 2)) and s <= mu.pieces[-1][2]
+    assert inside(3, F(1, 2))
+    assert inside(4, 0)
+    assert not inside(3, 1)
+    assert not inside(0, F(11, 10))
 
 
 def test_weight_eval_values():
@@ -298,13 +336,12 @@ def test_trace_rejects_out_of_range():
 # --- shape queries ---------------------------------------------------------
 
 def test_shape_queries():
-    assert shape_queries(MU_D) == {"is_chg_shaped": True,
-                                   "is_regular_in_time": True, "ord": 4}
-    assert shape_queries(ZERO_OF) == {"is_chg_shaped": False,
-                                      "is_regular_in_time": False, "ord": 0}
+    def queries(mu):
+        return (chg_shape(mu) is not None, is_regular_in_time(mu), mu.ord)
+    assert queries(MU_D) == (True, True, 4)
+    assert queries(ZERO_OF) == (False, False, 0)
     mu5 = of_add(MU_D, 1).plus
-    assert shape_queries(mu5) == {"is_chg_shaped": True,
-                                  "is_regular_in_time": True, "ord": 5}
+    assert queries(mu5) == (True, True, 5)
     assert verts(polygon_of(mu5)) == [(0, 0), (5, 0), (3, 1), (0, 1)]
 
 

@@ -1,18 +1,21 @@
-"""The python examples of README.md run as written, and its CLI synopsis
-names each command and the flags it reads."""
+"""The python examples of README.md run as written, its CLI synopsis
+names each command and the flags it reads, and its boundary file example
+reads as the builtin pair it stands for."""
 
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from maxreg.cli import _COMMAND_OPTIONS, _EVERY_COMMAND
+from maxreg.cli import _COMMAND_OPTIONS, _EVERY_COMMAND, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 TEXT = README.read_text()
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
 SYNOPSIS = re.search(r"^## Command-line interface\n\n```\n(.*?)^```", TEXT,
                      re.M | re.S).group(1)
+BOUNDARY_FILE = re.search(r"^  ```json\n(.*?)^  ```", TEXT, re.M | re.S).group(1)
 
 
 def test_readme_has_examples():
@@ -40,3 +43,21 @@ def test_readme_cli_synopsis_matches_the_parser():
     for cmd, keys in _COMMAND_OPTIONS.items():
         own = {f"--{key}" for key in keys}
         assert own <= named[cmd] <= own | every, cmd
+
+
+@pytest.mark.parametrize("argv", [("check", "boundary"),
+                                  ("solve", "half", "--grid", "K=4,Nn=64", "--bc")],
+                         ids=["check", "solve"])
+def test_readme_boundary_file_is_the_neumann_pair(argv, capsys, tmp_path):
+    """The documented file gives the report data of the builtin neumann_13,
+    apart from the name of the pair."""
+    path = tmp_path / "neumann.json"
+    path.write_text(BOUNDARY_FILE)
+    json.loads(BOUNDARY_FILE)  # the example is plain JSON
+    data = []
+    for target in (str(path), "neumann_13"):
+        assert main([*argv, target]) == 0
+        report = json.loads(capsys.readouterr().out)["data"]
+        report.pop("bc", None)
+        data.append(report)
+    assert data[0] == data[1]

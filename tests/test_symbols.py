@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from maxreg.factorization import MU_D, chg_matrix, d_symbol
 from maxreg.polygons import (
+    OrderFunction,
     as_diff,
     o_elem,
     of_add,
     of_const,
-    of_linear,
     order_function_of,
     polygon_from_exponents,
     qpoint,
@@ -33,9 +33,14 @@ from maxreg.symbols import (
     mixed_order_certify,
     normal_coeffs,
     sample_matrix,
-    upper_bound_certify,
 )
-from maxreg.symbols import _ray_decay_witness
+from maxreg.symbols import _ray_decay_witness, _sample_ratio, _upper_report
+
+
+def upper_bound_certify(sym, mu, grid=GridSpec()):
+    """The upper-bound report of one symbol, sampled alone: the reference
+    for the entry reports of mixed_order_certify."""
+    return _upper_report(*_sample_ratio(as_symbol(sym), as_diff(mu), grid), grid)
 
 
 def stacked(rows):
@@ -325,7 +330,7 @@ def test_ellipticity_constant_symbol():
 
 def test_ellipticity_itau():
     itau = PolySymbol(1, True, ((1j, 1, 0),))
-    mu = of_linear(0, 1)  # mu(gamma) = gamma
+    mu = OrderFunction(((None, F(0), F(1)),))  # mu(gamma) = gamma
     rep = ellipticity_certify(as_symbol(itau), mu)
     assert rep.passed and rep.c_lower >= 0.5
 
