@@ -24,6 +24,7 @@ from .polygons import (
     OrderFunction,
     OrderFunctionDiff,
     ZERO_OF,
+    _no_bool,
     as_diff,
     chg_shape,
     of_neg,
@@ -214,7 +215,7 @@ def _coeff_from_jsonable(obj, band: dict):
     if "ref" in obj:
         return band[obj["ref"]]
     if "re" in obj or "im" in obj:
-        return complex(obj.get("re", 0.0), obj.get("im", 0.0))
+        return complex(_no_bool(obj.get("re", 0.0)), _no_bool(obj.get("im", 0.0)))
     return PolySymbol.from_jsonable(obj["poly"])
 
 

@@ -27,11 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-try:
-    from importlib.metadata import version as _pkg_version
-    VERSION = _pkg_version("maxreg")
-except Exception:  # pragma: no cover - not installed
-    VERSION = "0.0.0"
+VERSION = "0.1.0"  # pyproject.toml's [project] version
 
 from .boundary import (
     _default_chi,

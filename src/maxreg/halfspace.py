@@ -410,25 +410,14 @@ def anticausal_resolvent_terms(rho, slots: np.ndarray, coef: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def _phi_integrals(z, h: float) -> tuple:
-    """I0 = integral_0^h e^{z s/h} ds, I1 = integral_0^h s e^{z s/h} ds."""
-    small = np.abs(z) < 1e-5
-    zs = np.where(small, 1.0, z)  # the closed form only off the series branch
-    ez = np.exp(zs)
-    i0 = np.where(small, h * (1.0 + z / 2.0 + z * z / 6.0 + z ** 3 / 24.0),
-                  h * (ez - 1.0) / zs)
-    i1 = np.where(small, h * h * (0.5 + z / 3.0 + z * z / 8.0 + z ** 3 / 30.0),
-                  h * h * (ez * (zs - 1.0) + 1.0) / (zs * zs))
-    return i0, i1
-
-
 def _downward(rho, g, h: float) -> np.ndarray:
-    """v[j] = e^z v[j+1] - i cell_j from v = 0 at Ln, z = -i rho h: cell_j integrates
-    e^{i rho (x_j - y)} times g's linear interpolant over [x_j, x_{j+1}]."""
+    """v[j] = e^{bh} v[j+1] - i cell_j from v = 0 at Ln, b = -i rho: cell_j
+    integrates e^{i rho (x_j - y)} times g's linear interpolant over
+    [x_j, x_{j+1}], from I_q = integral_0^h s^q e^{b s} ds, q = 0, 1."""
     g = np.ascontiguousarray(np.moveaxis(np.asarray(g, dtype=complex), -1, 0))
-    z = -1j * np.asarray(rho) * h
-    i0, i1 = _phi_integrals(z, h)
-    ez = np.exp(z)
+    b = -1j * np.asarray(rho)
+    ez = np.exp(b * h)
+    i0, i1 = np.moveaxis(_int_power_exp(1, b, h, ez), -1, 0)
     cell = g[:-1] * i0 + (g[1:] - g[:-1]) * i1 / h
     v = np.zeros(g.shape, complex)
     for j in range(len(g) - 2, -1, -1):
@@ -564,21 +553,21 @@ def apply_dminus(f: HalfField) -> HalfField:
     return apply_poly_operator(f, coeffs)
 
 
-def dotted_inverse(f: HalfField, roots_fn: Callable) -> HalfField:
+def dotted_inverse(f: HalfField, rhos: Sequence) -> HalfField:
     """Chained one-sided resolvents: prod_j (xi_n - rho_j)^{-1}, in order.
 
-    roots_fn(tau, xi), called once on the column_mesh arrays, returns
-    [rho_1, ..., rho_r] (arrays over the live columns, or scalars), each in
-    one half plane: a lower root takes the causal resolvent (preserving
-    lower support), an upper root the anticausal one (the dotted inverse).
+    rhos holds [rho_1, ..., rho_r], each an array over the live columns
+    (HalfGrid.column_mesh() order) or a scalar, and each in one half plane:
+    a lower root takes the causal resolvent (preserving lower support), an
+    upper root the anticausal one (the dotted inverse).
     """
     if not f.oscillatory:
         raise ValueError("half-space inverses act on oscillatory data")
     grid = f.grid
-    index, tau, xi = grid.column_mesh()
+    index = grid.column_mesh()[0]
     cols = _gather(f, index)
     slots, coef = f.rho, f.coef
-    for rho in roots_fn(tau, xi):
+    for rho in rhos:
         causal = bool(np.all(np.imag(rho) < 0))
         if cols is not None:
             cols = (causal_resolvent_samples(rho, cols, grid.h) if causal
@@ -591,8 +580,8 @@ def dotted_inverse(f: HalfField, roots_fn: Callable) -> HalfField:
 
 def dminus_inverse_plus(f: HalfField) -> HalfField:
     """op[D-]^{-1}_+ f: the causal resolvents of rho_2^- and then rho_1^-."""
-    # RootQuadruple.all() is (rho1_plus, rho2_plus, rho1_minus, rho2_minus)
-    return dotted_inverse(f, lambda tau, xi: roots(tau, xi).all()[:1:-1])
+    rq = roots(*f.grid.column_mesh()[1:])
+    return dotted_inverse(f, (rq.rho2_minus, rq.rho1_minus))
 
 
 # ---------------------------------------------------------------------------
@@ -628,24 +617,17 @@ def _weighted(cols, rho, coef, tau, xi, factors, d1):
     return cols, coef
 
 
-def column_weighted_l2_sq(rho: np.ndarray, coef: np.ndarray, tau, xi,
-                          factors, Ln: float) -> np.ndarray:
-    """Exact squared column norms of an exp sum after the weight factors
-    (from weight_factors), one per column at (tau, xi)."""
-    return terms_l2_sq(rho, _weighted(None, rho, coef, tau, xi, factors, None)[1], Ln)
+def _column_sq(u: HalfField, mu: OFLike) -> np.ndarray:
+    """Squared L^2 norm of op[omega_mu^-]^+ u on each live column.
 
-
-def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
-    """|| op[omega_mu^-]^+ u ||_{L^2(G_+)} via the elementary decomposition.
-
-    Exponential-sum columns are integrated in closed form; a column holding
-    samples is weighted with the 4th-order first-derivative stencils and
-    integrated by Simpson's rule.
-    """
+    The exact part is integrated in closed form (terms_l2_sq); a column
+    holding samples is weighted with the 4th-order first-derivative
+    stencils and integrated by Simpson's rule."""
     grid = u.grid
     factors = weight_factors(mu)
     index, tau, xi = grid.column_mesh()
-    sq = column_weighted_l2_sq(u.rho, u.coef, tau, xi, factors, grid.Ln)
+    sq = terms_l2_sq(u.rho, _weighted(None, u.rho, u.coef, tau, xi, factors, None)[1],
+                     grid.Ln)
     cols = _gather(u, index)
     if cols is not None:
         held = cols.any(axis=1)
@@ -654,8 +636,14 @@ def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
                                xi[held], factors, d1)
         vals = cols + eval_terms(u.rho[held], coef, grid.xn())
         sq[held] = _simpson(np.abs(vals) ** 2, grid.h)
-    meas = grid.T * grid.Lx ** (grid.n - 1)
-    return float(np.sqrt(meas * sq.sum()))
+    return sq
+
+
+def halfspace_norm(u: HalfField, mu: OFLike = 0) -> float:
+    """|| op[omega_mu^-]^+ u ||_{L^2(G_+)} via the elementary decomposition:
+    the column norms of _column_sq, summed."""
+    grid = u.grid
+    return float(np.sqrt(grid.T * grid.Lx ** (grid.n - 1) * _column_sq(u, mu).sum()))
 
 
 def boundary_norm(g: np.ndarray, mu: OFLike, grid: HalfGrid) -> float:
@@ -743,14 +731,12 @@ def _norm_2x2(A: np.ndarray) -> np.ndarray:
 
 
 def _conditioning(M: np.ndarray, det: np.ndarray, left: np.ndarray,
-                  right: np.ndarray) -> tuple:
-    """cond_2(M) and ||diag(left) M^{-1} diag(right)^{-1}||_2 for a stack of
-    2x2 matrices M with determinants det: cond = s_max^2 / |det|, and
-    M^{-1} = adj(M) / det."""
+                  right: np.ndarray) -> np.ndarray:
+    """||diag(left) M^{-1} diag(right)^{-1}||_2 for a stack of 2x2 matrices M
+    with determinants det, M^{-1} = adj(M) / det."""
     adj = np.stack([M[:, 1, 1], -M[:, 0, 1], -M[:, 1, 0], M[:, 0, 0]],
                    axis=-1).reshape(M.shape)
-    scaled = left[:, :, None] * (adj / det[:, None, None]) / right[:, None, :]
-    return _norm_2x2(M) ** 2 / np.abs(det), _norm_2x2(scaled)
+    return _norm_2x2(left[:, :, None] * (adj / det[:, None, None]) / right[:, None, :])
 
 
 def _apply_row(row, tau, xi, tr) -> np.ndarray:
@@ -779,8 +765,9 @@ def _boundary_solve(mesh: tuple, fs: Sequence[HalfField], g, bc, adj=None) -> tu
     a BoundaryOperator or None, with B_i u = sum_k B_ik u_k; the
     coefficients c of the modes solve the 2x2 system M c = g - B(u_p),
     M[i, j] = sum_k B_ik(rho_j^+) phi_j[k], for every live column at once.
-    Returns (u, M, det, plus): the m solution fields, the boundary matrices
-    and their determinants over the live columns, and (rho_1^+, rho_2^+).
+    Returns (u, M, det, cond, plus): the m solution fields, the boundary
+    matrices over the live columns with their determinants and cond_2 =
+    s_max^2 / |det|, and (rho_1^+, rho_2^+).
     """
     grid = fs[0].grid
     if len(bc) != 2 or any(len(row) != len(fs) for row in bc):
@@ -806,7 +793,8 @@ def _boundary_solve(mesh: tuple, fs: Sequence[HalfField], g, bc, adj=None) -> tu
         raise ZeroDivisionError(
             f"Lopatinskii violation: singular boundary system at column "
             f"k={index[0][first] - grid.K}, |xi'|={xi[first]:.6g}")
-    u = [dotted_inverse(dminus_inverse_plus(f), lambda tau, xi: plus) for f in fs]
+    chain = (rq.rho2_minus, rq.rho1_minus) + plus
+    u = [dotted_inverse(f, chain) for f in fs]
     if adj is not None:
         u = [reduce(HalfField.__add__, map(apply_symbol, u, row)) for row in adj]
     tr = [traces(uk, 4)[(slice(None),) + index] for uk in u]
@@ -816,7 +804,7 @@ def _boundary_solve(mesh: tuple, fs: Sequence[HalfField], g, bc, adj=None) -> tu
     # the modes merge into the rho_j^+ slots the dotted inverse made
     u = [uk + _field(grid, None, rho_plus, (c * phi_k)[..., None])
          for uk, phi_k in zip(u, phi)]
-    return u, M, det, plus
+    return u, M, det, _norm_2x2(M) ** 2 / np.abs(det), plus
 
 
 def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
@@ -830,15 +818,17 @@ def solve_half_scalar(f: HalfField, g, bc=None) -> SolveResult:
     if g is None:
         g = (np.zeros(grid.col_shape, complex), np.zeros(grid.col_shape, complex))
     index, tau, xi = mesh = grid.column_mesh()
-    (out,), M, det, plus = _boundary_solve(mesh, [f], g, [(op,) for op in bc])
+    (out,), M, det, cond, plus = _boundary_solve(mesh, [f], g, [(op,) for op in bc])
     # norm of the map (boundary data in its trace space) -> (correction
-    # in H^{mu_D}): the numerical shadow of the complementing condition
-    factors = weight_factors(MU_D)
-    n_col = np.stack([column_weighted_l2_sq(r[:, None], np.ones((tau.size, 1, 1)), tau, xi,
-                                            factors, grid.Ln) for r in plus], axis=-1)
+    # in H^{mu_D}): the numerical shadow of the complementing condition;
+    # n_col holds the column norms of the unit modes e^{i rho_j^+ x}
+    factors, one = weight_factors(MU_D), np.ones((tau.size, 1, 1))
+    n_col = np.stack([terms_l2_sq(r[:, None], _weighted(None, r[:, None], one, tau, xi,
+                                                        factors, None)[1], grid.Ln)
+                      for r in plus], axis=-1)
     w_chi = np.stack([smooth_weight_eval(_default_chi(op, ZERO_OF), tau, xi)
                       for op in bc], axis=-1)
-    cond, scaled = _conditioning(M, det, np.sqrt(n_col), w_chi)
+    scaled = _conditioning(M, det, np.sqrt(n_col), w_chi)
     conds = list(zip(zip(*(i.tolist() for i in index)), cond.tolist(), scaled.tolist()))
     return SolveResult(u=out, diagnostics={
         "max_cond": max((c for _, c, _ in conds), default=0.0),
@@ -869,8 +859,8 @@ def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
         bc = ((trace_operator(1), None), (None, trace_operator(1)))
     grid = f1.grid
     index, tau, xi = mesh = grid.column_mesh()
-    u, M, det, _ = _boundary_solve(mesh, [f1, f2], (g1, g2), bc,
-                                   adjugate(chg_matrix(grid.n)).entries)
+    u, _, _, cond, _ = _boundary_solve(mesh, [f1, f2], (g1, g2), bc,
+                                       adjugate(chg_matrix(grid.n)).entries)
     tr = [traces(ui, 4)[(slice(None),) + index] for ui in u]
     residual = []
     for gi, row in zip((g1, g2), bc):
@@ -886,7 +876,7 @@ def solve_half_chg_system(f1: HalfField, f2: HalfField, g1: np.ndarray,
         "norm_g2_G2": boundary_norm(g2, G2_ORDER, grid),
         "bdry_residual_1": residual[0],
         "bdry_residual_2": residual[1],
-        "max_cond": float((_norm_2x2(M) ** 2 / np.abs(det)).max(initial=0.0)),
+        "max_cond": float(cond.max(initial=0.0)),
     }
     data = diag["norm_f1_F1"] + diag["norm_f2_F2"] \
         + diag["norm_g1_G1"] + diag["norm_g2_G2"]
@@ -915,9 +905,7 @@ def borderline_datum(grid: HalfGrid) -> np.ndarray:
 def _sup_column_ratio(u: HalfField, f: HalfField) -> float:
     """max over columns of ||u_col||_{mu_D} / ||f_col||_{0}: the discrete
     operator-norm estimate (data concentrated on a single column)."""
-    _, tau, xi = u.grid.column_mesh()
-    fsq = terms_l2_sq(f.rho, f.coef, u.grid.Ln)
-    usq = column_weighted_l2_sq(u.rho, u.coef, tau, xi, weight_factors(MU_D), u.grid.Ln)
+    fsq, usq = _column_sq(f, 0), _column_sq(u, MU_D)
     return float(np.sqrt(usq[fsq > 0] / fsq[fsq > 0]).max(initial=0.0))
 
 
@@ -938,20 +926,18 @@ def dirichlet_failure_probe(resolutions: Optional[Sequence[tuple]] = None) -> li
         grid = HalfGrid(K=K, n=1, Nn=Nn)
         g = borderline_datum(grid)
         f = apply_dminus(trace_extension(grid, np.stack([g, np.zeros_like(g)]), MU_MINUS))
-        dir_u = solve_half_scalar(f, None, dirichlet_pair())
-        neu_u = solve_half_scalar(f, None, neumann_pair_13())
-        edge_dir = dir_u.diagnostics["conds"][-1][2]
-        edge_neu = neu_u.diagnostics["conds"][-1][2]
-        return {
+        row = {
             "K": K, "Nn": Nn,
             "trace_norm_T2": boundary_norm(traces(dminus_inverse_plus(f), 1)[0], T2_MU_D, grid),
             "f_norm": halfspace_norm(f, 0),
-            "dirichlet_ratio": _sup_column_ratio(dir_u.u, f),
-            "neumann_ratio": _sup_column_ratio(neu_u.u, f),
-            "dirichlet_edge_scaled_cond": edge_dir,
-            "neumann_edge_scaled_cond": edge_neu,
-            "cond_contrast": edge_dir / edge_neu,
         }
+        for name, pair in (("dirichlet", dirichlet_pair()), ("neumann", neumann_pair_13())):
+            res = solve_half_scalar(f, None, pair)
+            row[f"{name}_ratio"] = _sup_column_ratio(res.u, f)
+            row[f"{name}_edge_scaled_cond"] = res.diagnostics["conds"][-1][2]
+        row["cond_contrast"] = (row["dirichlet_edge_scaled_cond"]
+                                / row["neumann_edge_scaled_cond"])
+        return row
 
     return [row_for(K, Nn) for K, Nn in resolutions]
 

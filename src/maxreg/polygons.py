@@ -27,6 +27,14 @@ def frac(x: RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _no_bool(x):
+    """x, a number read from a JSON file: true and false are refused, not
+    read as 1 and 0."""
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
+    return x
+
+
 class QPoint(NamedTuple):
     r: Fraction
     s: Fraction
@@ -228,7 +236,7 @@ class OrderFunction:
     @staticmethod
     def from_jsonable(obj) -> "OrderFunction":
         return OrderFunction(tuple(
-            (None if ge is None else frac(ge), frac(b), frac(m))
+            (None if ge is None else frac(_no_bool(ge)), frac(_no_bool(b)), frac(_no_bool(m)))
             for ge, b, m in obj["pieces"]))
 
 

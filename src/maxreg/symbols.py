@@ -21,6 +21,7 @@ from .polygons import (
     OFLike,
     OrderFunctionDiff,
     QPoint,
+    _no_bool,
     as_diff,
     of_add,
     polygon_from_exponents,
@@ -109,8 +110,9 @@ class PolySymbol:
     def from_jsonable(obj) -> "PolySymbol":
         mono = []
         for m in obj["monomials"]:
-            alpha = m["r"] if "r" in m else tuple(m["alpha"])
-            mono.append((complex(m.get("re", 0.0), m.get("im", 0.0)), m["i"], alpha))
+            alpha = _no_bool(m["r"]) if "r" in m else tuple(map(_no_bool, m["alpha"]))
+            mono.append((complex(_no_bool(m.get("re", 0.0)), _no_bool(m.get("im", 0.0))),
+                         _no_bool(m["i"]), alpha))
         return PolySymbol(obj["n"], obj["radial"], tuple(mono))
 
 

@@ -244,12 +244,11 @@ def test_acceptance_7_trace_theory():
 
     from maxreg.halfspace import dotted_inverse
 
-    def factors(tau, xi):
-        rq = roots(tau, xi)
-        a = np.sqrt(np.sqrt(1 + tau * tau)) + np.sqrt(1 + xi * xi)
-        return [rq.rho1_plus, rq.rho2_plus, 1j * a, 1j * a]
-
-    w = dotted_inverse(random_exp_field(grid, seed=70), factors)
+    _, tau, xi = grid.column_mesh()
+    rq = roots(tau, xi)
+    a = np.sqrt(np.sqrt(1 + tau * tau)) + np.sqrt(1 + xi * xi)
+    w = dotted_inverse(random_exp_field(grid, seed=70),
+                       [rq.rho1_plus, rq.rho2_plus, 1j * a, 1j * a])
     tr4 = traces(w, 4)
     assert np.abs(tr4).max() < 1e-8 * np.abs(w.values()).max()
 

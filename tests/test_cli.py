@@ -1,8 +1,10 @@
 """Tests for the command-line driver: exit codes, determinism, formats."""
 
 import argparse
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 
 from maxreg.boundary import complementing_check, dirichlet_pair
-from maxreg.cli import _build_parser, _median, main, parse_grid
+from maxreg.cli import VERSION, _build_parser, _median, main, parse_grid
 from maxreg.factorization import d_symbol
 from maxreg.spectral import Field
 from maxreg.polygons import ZERO_OF, of_const
@@ -274,6 +276,33 @@ def test_boundary_file_coefficient_must_not_be_a_boolean(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err == (f"error: {path}: bad boundary-condition file: "
                    f"a coefficient must be a number or an object, got True\n")
+
+
+def _symbol_with(**entry):
+    """The symbol tau + |xi|^4 as a file object, entry overriding the first
+    monomial's fields."""
+    return {"n": 1, "radial": True, "monomials": [
+        {"re": 1.0, "im": 0.0, "i": 1, "r": 0, **entry},
+        {"re": 1.0, "im": 0.0, "i": 0, "r": 4}]}
+
+
+@pytest.mark.parametrize("command, obj", [
+    (("check", "boundary"), {**_trace_pair_file(1, 3),
+                             "ops": [{"coeffs": [0, {"re": True}, 0, 0]},
+                                     {"coeffs": [0, 0, 0, 1]}]}),
+    (("check", "boundary"), _trace_pair_file(1, 3, nu={"pieces": [[None, True, "0"]]})),
+    (("polygon",), _symbol_with(i=True)),
+    (("polygon",), _symbol_with(re=True)),
+], ids=["boundary-coeff-re", "boundary-nu-piece", "symbol-i", "symbol-re"])
+def test_json_booleans_are_not_numbers(capsys, tmp_path, command, obj):
+    """JSON true inside a coefficient object, an order-function piece or a
+    symbol monomial is refused with one error line, not read as 1."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *command, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: ") and err.endswith("expected a number, got True\n")
+    assert err.count("\n") == 1
 
 
 def test_boundary_file_with_a_large_m_is_refused_at_once(capsys, tmp_path):
@@ -761,6 +790,39 @@ def test_deterministic_reports(capsys):
     _, csv2, _ = run(capsys, *argv_csv)
     assert csv1 == csv2
     assert csv1.startswith("# maxreg report")
+
+
+def test_version_matches_pyproject():
+    """The report's version is pyproject.toml's [project] version (read with
+    a regex: tomllib is missing on Python 3.10)."""
+    text = open(os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")).read()
+    project = text.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert re.search(r'^version\s*=\s*"([^"]*)"', project, re.M).group(1) == VERSION
+
+
+# sha256 of the report's data and summary, json.dumps(sort_keys=True), for
+# commands whose numbers must not move when the code is only restructured
+GOLDEN_DIGESTS = {
+    ("probe", "--resolutions", "8:128,16:128"):
+        "903bd3e8863f28b94028adbcb2e90e49889d23774979dd5c8b2fb17ee2d1e427",
+    ("solve", "half", "--ensemble", "2", "--grid", "K=4,n=2,N=8,Nn=64", "--seed", "1"):
+        "c0e66018aa9a791abff7ff18d9c2b446ed79d7deb2fd9100d8ac0234bac93aa1",
+    ("solve", "half", "--grid", "K=4,Nn=128", "--seed", "3", "--bc", "dirichlet"):
+        "ca857a82b569374e1b7e5b455a4b7e99310717ead95795d90c7f705bce98e140",
+    ("solve", "whole", "--grid", "K=4,N=16", "--seed", "2"):
+        "957c7979f92578cb520a37102cad4137f50b27ceb6d6958d5721c9493ce07d44",
+    ("check", "boundary", "neumann_13", "--grid", "n_tau=32,n_xi=32"):
+        "16bf22170ed22f27a9dead2375a0f18503a2bda1b9bc21582bdbd9811db8cf04",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_DIGESTS), ids=" ".join)
+def test_golden_report_digests(capsys, argv):
+    """data and summary are bit for bit those of the recorded reports; the
+    provenance block (version, config hash) is left out."""
+    _, rep = run_json(capsys, *argv)
+    text = json.dumps({"data": rep["data"], "summary": rep["summary"]}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[argv]
 
 
 def test_provenance_hash_tracks_config(capsys):

@@ -178,7 +178,7 @@ def test_exact_data_holds_no_samples():
     u = random_exp_field(grid, seed=3)
     v = random_exp_field(grid, seed=4)
     ext = trace_extension(grid, _random_traces(grid, 2), MU_MINUS)
-    inv = dotted_inverse(u, lambda tau, xi: roots(tau, xi).all()[:2])
+    inv = dotted_inverse(u, roots(*grid.column_mesh()[1:]).all()[:2])
     tr = traces(u, 4)
     scalar = solve_half_scalar(apply_symbol(u, d_symbol()), (tr[1], tr[3]))
     system = solve_half_chg_system(u, v, tr[1], tr[0])
@@ -282,7 +282,7 @@ def test_dotted_inverse_degenerate_on_one_column():
     sigma = {idx: rho if r == 1 else rho + 0.2 * (r + 1)
              for r, (idx, _, _) in enumerate(grid.columns())}
     f = HalfField(grid, None, {i: ((1.0, s, 0),) for i, s in sigma.items()})
-    w = dotted_inverse(f, lambda tau, xi: [rho])
+    w = dotted_inverse(f, [rho])
     x, vals = grid.xn(), w.values()
     for idx, s in sigma.items():
         want = (1j * x * np.exp(1j * rho * x) if s == rho
@@ -364,7 +364,8 @@ def test_conditioning_matches_lapack(seed, near_singular):
     M = _stack_2x2(rng, 16, near_singular)
     left, right = (10.0 ** rng.uniform(-1, 1, size=(16, 2)) for _ in range(2))
     det = M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0]
-    cond, scaled = halfspace._conditioning(M, det, left, right)
+    cond = halfspace._norm_2x2(M) ** 2 / np.abs(det)
+    scaled = halfspace._conditioning(M, det, left, right)
     want_cond = np.linalg.cond(M)
     assert np.all(np.abs(1.0 / cond - 1.0 / want_cond) < 1e-13)
     want = np.linalg.norm(left[:, :, None] * np.linalg.inv(M) / right[:, None, :],
@@ -736,16 +737,20 @@ def test_fd_traces_converge():
     assert np.abs(approx - exact)[3].max() < 1e-3 * scale
 
 
+def _annihilating_roots(grid):
+    """rho_1^+, rho_2^+ and twice i a, a = (1 + tau^2)^(1/4) + <xi'>, over
+    the live columns: four upper roots, so four anticausal resolvents."""
+    _, tau, xi = grid.column_mesh()
+    rq = roots(tau, xi)
+    a = np.sqrt(np.sqrt(1 + tau * tau)) + np.sqrt(1 + xi * xi)
+    return [rq.rho1_plus, rq.rho2_plus, 1j * a, 1j * a]
+
+
 def test_dotted_inverse_trace_annihilation():
     """Four chained anticausal resolvents annihilate Tr_0..Tr_3 (exact path)."""
     f = random_exp_field(GRID, seed=11)
 
-    def factors(tau, xi):
-        rq = roots(tau, xi)
-        a = np.sqrt(np.sqrt(1 + tau * tau)) + np.sqrt(1 + xi * xi)
-        return [rq.rho1_plus, rq.rho2_plus, 1j * a, 1j * a]
-
-    w = dotted_inverse(f, factors)
+    w = dotted_inverse(f, _annihilating_roots(GRID))
     tr = traces(w, 4)
     assert np.abs(tr).max() < 1e-8 * np.abs(w.values()).max()
 
@@ -755,12 +760,7 @@ def test_dotted_inverse_trace_annihilation_sampled():
     quadrature accuracy (higher traces amplify sample noise by h^-j)."""
     f = random_exp_field(GRID, seed=12).materialized()
 
-    def factors(tau, xi):
-        rq = roots(tau, xi)
-        a = np.sqrt(np.sqrt(1 + tau * tau)) + np.sqrt(1 + xi * xi)
-        return [rq.rho1_plus, rq.rho2_plus, 1j * a, 1j * a]
-
-    w = dotted_inverse(f, factors)
+    w = dotted_inverse(f, _annihilating_roots(GRID))
     tr = traces(w, 2)
     scale = np.abs(w.values()).max()
     assert np.abs(tr[0]).max() == 0.0
@@ -827,6 +827,37 @@ def test_solve_scalar_resolvent_calls_do_not_grow_with_K(monkeypatch, name):
     """Each resolvent runs once per root over all columns, not per column."""
     assert _calls_in_solve(monkeypatch, name, 4) \
         == _calls_in_solve(monkeypatch, name, 16) == 2
+
+
+def test_one_roots_call_per_boundary_solve(monkeypatch):
+    """The scalar and the system solve each take the roots once and run the
+    four-root resolvent chain from that one table."""
+    grid = HalfGrid(K=2, n=2, N=4, Nn=64)  # built first: HalfGrid takes the roots too
+    f1, f2 = random_exp_field(grid, seed=1), random_exp_field(grid, seed=2)
+    zero = np.zeros(grid.col_shape, complex)
+    calls = []
+    real = halfspace.roots
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(halfspace, "roots", counted)
+    solve_half_scalar(f1, None, neumann_pair_13())
+    assert len(calls) == 1
+    solve_half_chg_system(f1, f2, zero, zero)
+    assert len(calls) == 2
+
+
+def test_sup_column_ratio_reads_samples():
+    """The probe's column ratio of a solution and its data held as samples
+    matches that of their exact form (Simpson's rule against the Gram sum)."""
+    grid = HalfGrid(K=2, n=1, Nn=512)
+    f = random_exp_field(grid, seed=1)
+    u = solve_half_scalar(f, None, neumann_pair_13()).u
+    exact = halfspace._sup_column_ratio(u, f)
+    sampled = halfspace._sup_column_ratio(u.materialized(), f.materialized())
+    assert exact > 1.0
+    assert abs(sampled - exact) < 1e-3 * exact
 
 
 def test_solve_scalar_ls_violation_raises():
