@@ -405,42 +405,61 @@ def anticausal_resolvent_terms(rho, slots: np.ndarray, coef: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Sampled columns: quadrature recursions (exact exponential integration per
-# linear cell), finite differences (Fornberg weights) and Simpson's rule
+# Sampled columns: resolvents as doubling scans over exactly integrated
+# linear cells, finite differences (Fornberg weights) and Simpson's rule
 # ---------------------------------------------------------------------------
 
 
-def _downward(rho, g, h: float) -> np.ndarray:
-    """v[j] = e^{bh} v[j+1] - i cell_j from v = 0 at Ln, b = -i rho: cell_j
-    integrates e^{i rho (x_j - y)} times g's linear interpolant over
-    [x_j, x_{j+1}], from I_q = integral_0^h s^q e^{b s} ds, q = 0, 1."""
-    g = np.ascontiguousarray(np.moveaxis(np.asarray(g, dtype=complex), -1, 0))
-    b = -1j * np.asarray(rho)
-    ez = np.exp(b * h)
-    i0, i1 = np.moveaxis(_int_power_exp(1, b, h, ez), -1, 0)
-    cell = g[:-1] * i0 + (g[1:] - g[:-1]) * i1 / h
-    v = np.zeros(g.shape, complex)
-    for j in range(len(g) - 2, -1, -1):
-        v[j] = -1j * cell[j] + ez * v[j + 1]
-    return np.moveaxis(v, 0, -1)
+def _scan(b, g, h: float, upward: bool) -> np.ndarray:
+    """v[j] = a v[j+1] + c_j from v = 0 at the last sample, or, upward,
+    v[j] = a v[j-1] + c_j from v = 0 at the first, along g's last axis;
+    a = e^{bh} with Re b < 0, b one value per column (or one for all).
+
+    c_j is -i (upward +i) times the integral of e^{b s} times g's linear
+    interpolant over the cell next to x_j, s the distance from x_j, taken
+    from I_q = integral_0^h s^q e^{b s} ds, q = 0, 1.  The recursion runs
+    as ceil(log2 n) whole-array doubling steps (Hillis-Steele): after the
+    step of stride s, v[j] sums a^k c_{j+k} (upward c_{j-k}) over k < 2s.
+    |a| < 1, so no power a^s overflows, and one that underflows to 0 only
+    drops terms below rounding."""
+    b = np.asarray(b)
+    a = np.exp(b * h)
+    i = _int_power_exp(1, b, h, a)[..., None, :]
+    sign = 1j if upward else -1j
+    w_far = sign / h * i[..., 1]  # c_j = w_near g_j + w_far g_{j+-1}
+    w_near = sign * i[..., 0] - w_far
+    g = np.asarray(g)
+    out = np.zeros(g.shape, complex)
+    # upward is the downward scan on reversed views
+    v, g = (out[..., ::-1], g[..., ::-1]) if upward else (out, g)
+    np.multiply(g[..., :-1], w_near, out=v[..., :-1])
+    v[..., :-1] += g[..., 1:] * w_far
+    a = a[..., None]
+    s = 1
+    while s < v.shape[-1]:
+        v[..., :-s] += a * v[..., s:]
+        a = a * a
+        s *= 2
+    return out
 
 
 def causal_resolvent_samples(rho, g: np.ndarray, h: float) -> np.ndarray:
-    """Downward recursion for (-i d/dx - rho) v = g, data zero beyond Ln.
+    """Downward scan for (-i d/dx - rho) v = g, data zero beyond Ln: v = 0
+    at the last sample, b = -i rho.
 
     g holds samples along its last axis; rho one root per column (or one
     for all)."""
     if np.any(np.imag(rho) >= 0):
         raise ValueError("causal resolvent requires Im rho < 0")
-    return _downward(rho, g, h)
+    return _scan(-1j * np.asarray(rho), g, h, upward=False)
 
 
 def anticausal_resolvent_samples(rho, g: np.ndarray, h: float) -> np.ndarray:
-    """Upward recursion for (-i d/dx - rho) v = g with v(0) = 0: the
-    downward one for -rho on the reflected data, reflected and negated."""
+    """Upward scan for (-i d/dx - rho) v = g with v = 0 at the first
+    sample, b = i rho."""
     if np.any(np.imag(rho) <= 0):
         raise ValueError("anticausal resolvent requires Im rho > 0")
-    return -_downward(-np.asarray(rho), np.flip(g, -1), h)[..., ::-1]
+    return _scan(1j * np.asarray(rho), g, h, upward=True)
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:

@@ -506,20 +506,23 @@ def mixed_order_certify(M: MatrixSymbol, grid: GridSpec = GridSpec()) -> dict:
     """
     if M.row_orders is None or M.col_orders is None:
         raise ValueError("mixed-order certification requires row/column orders")
-    tau, xi, vals, abs_det = sample_matrix(M, grid)
+    # delta's weight is taken, and checked, before M is sampled, so a weight
+    # that overflows there costs no determinant stack
+    tau, xi = mesh_axes(grid)
     weight = weight_parts(tau, xi)
+    delta = M.delta()
+    plus, minus = weight(delta)
+    _, _, vals, abs_det = sample_matrix(M, grid)
     entry_reports = {}
     for i, s in enumerate(M.row_orders):
         for j, t in enumerate(M.col_orders):
             # the weight parts are taken, and checked, for every entry; an
             # exact zero needs no mesh work beyond them
-            plus, minus = weight(of_add(s, t))
+            w_plus, w_minus = weight(of_add(s, t))
             v = vals[i][j]
             entry_reports[f"{i},{j}"] = (
                 _zero_report(tau, xi, grid) if _is_zero(v) else
-                _upper_report(tau, xi, np.abs(v) / (plus / minus), grid))
-    delta = M.delta()
-    plus, minus = weight(delta)
+                _upper_report(tau, xi, np.abs(v) / (w_plus / w_minus), grid))
     ratio = abs_det / (plus / minus)
     det_rep = _ellipticity_report(tau, xi, ratio, grid, MIXED_ORDER_FLOOR)
     rays = _ray_decay_witness(tau, xi, ratio, grid)

@@ -911,3 +911,20 @@ def test_peak_traced_memory(capsys, argv, limit_mib):
     finally:
         tracemalloc.stop()
     assert code == 0 and peak < limit_mib * 2 ** 20
+
+
+def test_overflowing_weight_is_named_before_the_matrix_is_sampled(capsys, tmp_path):
+    """B^(24) of a file with nu = 24 overflows in delta's weight, which is
+    checked before the (n_tau, n_xi, 28, 28) determinant stack is built."""
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(_trace_pair_file(
+        0, 1, m=24, nu=of_const(24).to_jsonable())))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check", "boundary", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == "error: weight not finite at tau=-1000000.0, |xi|=3.340484983513244\n"
+    assert peak < 20 * 2 ** 20

@@ -449,6 +449,59 @@ def test_causal_reflection_identity():
     assert np.abs(anti[::-1] + caus).max() < 1e-10 * np.abs(anti).max()
 
 
+def _sequential_resolvent(rho, g, h, causal):
+    """The resolvents one sample at a time, the reference for the doubling
+    scan: causal v[j] = -i cell[j] + a v[j+1] with b = -i rho, cell[j] the
+    integral of e^{bs} times the linear interpolant over [x_j, x_{j+1}];
+    anticausal the same recursion upward, +i, b = i rho, over [x_{j-1}, x_j]."""
+    b = (-1j if causal else 1j) * np.asarray(rho)
+    a = np.exp(b * h)
+    i0, i1 = np.moveaxis(halfspace._int_power_exp(1, b, h, a), -1, 0)
+    cols = np.moveaxis(g, -1, 0)  # samples first
+    if not causal:
+        cols = cols[::-1]
+    cell = cols[:-1] * i0 + (cols[1:] - cols[:-1]) * i1 / h
+    v = np.zeros(cols.shape, complex)
+    for j in range(len(cols) - 2, -1, -1):
+        v[j] = (-1j if causal else 1j) * cell[j] + a * v[j + 1]
+    if not causal:
+        v = v[::-1]
+    return np.moveaxis(v, 0, -1)
+
+
+# |a| = e^{-|Im rho| h} from within 1e-10 of 1 down to e^-20, where the
+# scan's high powers of a underflow to 0
+_DECAY_H = np.array([1e-10, 1e-6, 1e-3, 0.05, 1.0, 20.0])
+
+
+@pytest.mark.parametrize("nn", [64, 65, 127, 1024])
+@pytest.mark.parametrize("per_column", [False, True])
+def test_sampled_resolvents_match_the_sequential_recursion(nn, per_column):
+    rng = np.random.default_rng(nn)
+    h = 25.0 / (nn - 1)
+    cols = len(_DECAY_H) if per_column else 1
+    g = rng.normal(size=(cols, nn)) + 1j * rng.normal(size=(cols, nn))
+    real = rng.uniform(-2.0, 2.0, len(_DECAY_H))
+    rhos = [real + 1j * _DECAY_H / h] if per_column else list(real + 1j * _DECAY_H / h)
+    for rho in rhos:
+        for causal, r in ((True, np.conj(rho)), (False, rho)):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                got = (causal_resolvent_samples(r, g, h) if causal
+                       else anticausal_resolvent_samples(r, g, h))
+            want = _sequential_resolvent(r, g, h, causal)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_sampled_resolvents_vanish_exactly_at_their_start():
+    """The causal output's last sample and the anticausal output's first
+    are exactly 0, whatever the data."""
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(8, 100)) + 1j * rng.normal(size=(8, 100))
+    rho = rng.uniform(-2.0, 2.0, 8) + 1j * rng.uniform(0.1, 3.0, 8)
+    assert np.all(causal_resolvent_samples(np.conj(rho), g, 0.1)[:, -1] == 0.0)
+    assert np.all(anticausal_resolvent_samples(rho, g, 0.1)[:, 0] == 0.0)
+
+
 def test_dminus_inverse_preserves_upper_support():
     """Sampled data vanishing beyond b stays zero beyond b."""
     grid = GRID
