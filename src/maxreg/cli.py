@@ -71,6 +71,7 @@ from .spectral import (
     TorusGrid,
     coefficient_norms,
     random_band_limited_coefficients,
+    relative_residual,
     system_residual,
     system_solve,
     system_times,
@@ -517,22 +518,36 @@ def _solve_whole(cfg):
     kwargs = _grid_kwargs(cfg, _TORUS_KEYS)
     grid = TorusGrid(**kwargs)
     seed = cfg["seed"]
-    u_star = [random_band_limited_coefficients(grid, seed=seed + i) for i in range(2)]
-    # one evaluation of L makes f from u*'s coefficients, solves and takes
-    # the residual; f stays in coefficients, u*'s samples are made once, for
-    # the recovery error, and u's norms come from the residual's transform
-    vals = system_values(chg_matrix(grid.n), grid)
-    fc = list(system_times(vals, u_star))
-    u = system_solve(vals, fc, grid)
-    stars = (Field.from_coefficients(grid, c).data for c in u_star)
-    err = max(np.abs(ui.data - us).max() / max(np.abs(us).max(), 1e-300)
-              for ui, us in zip(u, stars))
-    del u_star, stars
-    residual, uc = system_residual(vals, u, fc)
-    del vals
+    L = chg_matrix(grid.n)
+    rngs = [np.random.default_rng(seed + i) for i in range(2)]
+    # one pass over blocks of time slabs: each block draws its part of u*,
+    # makes f = L u* in coefficients, solves and takes the residual from one
+    # evaluation of L.  Whole-grid arrays hold only u's samples, as the field
+    # files store them, and the summands of the residual and of the norms,
+    # which are summed over the whole grid in one order
+    u = np.empty((2,) + grid.shape, np.complex64)
+    residual_sq = np.empty((2,) + grid.shape)
+    power = np.empty((4,) + grid.shape)  # |c|^2 of u1, u2, f1, f2
+    worst = np.zeros((2, 2))  # max |u_i - u*_i| and max |u*_i| so far
+    for block in grid.slab_blocks():
+        rows = slice(block.lo, block.hi)
+        u_star = [random_band_limited_coefficients(block, rng) for rng in rngs]
+        vals = system_values(L, block)
+        fc = list(system_times(vals, u_star))
+        ub = system_solve(vals, fc, block)
+        for i, (ui, ci) in enumerate(zip(ub, u_star)):
+            star = Field.from_coefficients(block, ci).data
+            np.maximum(worst[i], (np.abs(ui.data - star).max(), np.abs(star).max()),
+                       out=worst[i])
+            u[i, rows] = ui.data
+        residual_sq[:, rows], uc = system_residual(vals, ub, fc)
+        for p, c in zip(power, (*uc, *fc)):
+            p[rows] = np.abs(c) ** 2
+    err = max(num / max(den, 1e-300) for num, den in worst)
+    residual = relative_residual(residual_sq, power[2:])
+    del residual_sq
     orders = (("l2", 0), ("mu_D", MU_D))
-    norms = coefficient_norms(grid, [uc[0], uc[1], fc[0], fc[1]],
-                              [mu for _, mu in orders])
+    norms = coefficient_norms(grid, power, [mu for _, mu in orders])
     tables = {f"norms_{name}": [{"name": o, "norm": v}
                                 for (o, _), v in zip(orders, row)]
               for name, row in zip(("u1", "u2", "f1", "f2"), norms)}
@@ -541,7 +556,10 @@ def _solve_whole(cfg):
     summary = [f"whole-space manufactured solve on K={grid.K}, N={grid.N}",
                f"recovery error = {err:.3e}",
                f"relative residual = {data['relative_residual']:.3e}"]
-    fields = [("u1", u[0], write_field), ("u2", u[1], write_field)]
+
+    def write(path, samples):
+        write_field(path, grid, samples)
+    fields = [("u1", u[0], write), ("u2", u[1], write)]
     return data, summary, fields
 
 

@@ -7,6 +7,12 @@ multipliers, hence diagonal after a spatial FFT; on band-limited data the
 multiplier algebra is exact and discretization error lives entirely in the
 data truncation.  Oscillatory data vanish on the k = 0 slab, on which the
 symbols below may degenerate; the solve sets that slab to zero.
+
+The multipliers are diagonal in (k, xi) and the transforms act on the
+spatial axes only, so each time slab can be handled alone.  A `SlabBlock`
+is a grid restricted to a run of consecutive time modes; it answers as the
+grid does, with its modes restricted.  The primitives below act on a grid
+or a block alike: a grid is the block of all its modes.
 """
 
 from __future__ import annotations
@@ -36,6 +42,11 @@ def require_positive_finite(grid, *names) -> None:
         if not (isinstance(value, (int, float, np.integer, np.floating))
                 and 0 < value < np.inf):
             raise ValueError(f"grid {name} must be a positive finite number, got {value!r}")
+
+
+# entries of a block of time slabs, as solve whole takes them: 4 slabs of a
+# 64 x 64 mesh
+_BLOCK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -94,10 +105,39 @@ class TorusGrid:
     def to_jsonable(self):
         return asdict(self)
 
+    def block(self, lo: int, hi: int) -> "SlabBlock":
+        """The grid restricted to its time modes k_values()[lo:hi]."""
+        return SlabBlock(**asdict(self), lo=lo, hi=hi)
+
+    def slab_blocks(self):
+        """The grid's time modes in order, in blocks of _BLOCK_ENTRIES
+        entries (one slab at least; the last block may be smaller)."""
+        step = max(1, _BLOCK_ENTRIES // self.N ** self.n)
+        modes = 2 * self.K + 1
+        return (self.block(lo, min(lo + step, modes)) for lo in range(0, modes, step))
+
+
+@dataclass(frozen=True, kw_only=True)
+class SlabBlock(TorusGrid):
+    """The time modes k_values()[lo:hi] of a grid: the block's modes, tau
+    mesh and shape are restricted to them, and K, T and space are the
+    grid's."""
+
+    lo: int
+    hi: int
+
+    def k_values(self) -> np.ndarray:
+        return super().k_values()[self.lo:self.hi]
+
+    @property
+    def shape(self) -> tuple:
+        return (self.hi - self.lo,) + (self.N,) * self.n
+
 
 @dataclass
 class Field:
-    """Samples per time mode: data[k + K] is the k-th coefficient function."""
+    """Samples per time mode of a grid or block: data[i] is the coefficient
+    function of the mode k_values()[i]."""
 
     grid: TorusGrid
     data: np.ndarray
@@ -109,11 +149,8 @@ class Field:
 
     @property
     def oscillatory(self) -> bool:
-        """True when the k = 0 slab is zero."""
-        return not self.data[self.grid.K].any()
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.data.copy())
+        """True when the k = 0 slab is zero (or not in the block)."""
+        return not self.data[self.grid.k_values() == 0].any()
 
     def coefficients(self) -> np.ndarray:
         """Full (k, xi) Fourier coefficients (unitary in the box measure).
@@ -130,18 +167,20 @@ class Field:
         return Field(grid, data)
 
 
-def random_band_limited_coefficients(grid: TorusGrid, seed: int = 0) -> np.ndarray:
+def random_band_limited_coefficients(grid: TorusGrid, seed=0) -> np.ndarray:
     """(k, xi) coefficients of a random smooth oscillatory field: complex
     normals under a Gaussian envelope, drawn only on the live band, where
     the envelope is >= 1e-14 and k != 0, in C order, and zero elsewhere, so
-    the spectrum decays below 1e-12 at the edges."""
+    the spectrum decays below 1e-12 at the edges.  seed may be a Generator:
+    a grid's blocks, drawn in order from one generator, hold the grid's
+    coefficients drawn at once from a generator in the same state."""
     rng = np.random.default_rng(seed)
     k_width = max(1.0, grid.K / 6.0)
     xi_width = np.abs(grid.xi_axis()).max() / 6.0
     envelope = np.exp(-(grid.tau_mesh() / (grid.omega * k_width)) ** 2
                       - (grid.xi_norm_mesh() / xi_width) ** 2)
     live = envelope >= 1e-14
-    live[grid.K] = False
+    live[grid.k_values() == 0] = False
     # one (re, im) pair of standard normals per live entry
     band = rng.standard_normal((np.count_nonzero(live), 2)).view(complex)[:, 0]
     band *= envelope[live]
@@ -151,44 +190,45 @@ def random_band_limited_coefficients(grid: TorusGrid, seed: int = 0) -> np.ndarr
 
 
 def _symbol_values(m, grid: TorusGrid) -> np.ndarray:
-    """A symbol on the live (tau_k, xi) mesh, at the broadcast shape of the
-    variables it uses (a constant is 0-d); the k=0 slab is set to 0 when
-    the values have a k axis (oscillatory coefficients vanish there)."""
+    """A symbol on the live (tau_k, xi) mesh of a grid or block, at the
+    broadcast shape of the variables it uses (a constant is 0-d); the k=0
+    slab is set to 0 when the values run over the modes (oscillatory
+    coefficients vanish there)."""
     m = as_symbol(m)
     # mask tau=0 during evaluation; its slab is projected away anyway
     tau = grid.tau_mesh()
     tau = np.where(tau == 0, grid.omega, tau)
     xi = grid.xi_norm_mesh() if m.radial else grid.xi_components()
     vals = np.asarray(m(tau, xi), dtype=complex)
-    if vals.ndim == len(grid.shape) and vals.shape[0] > 1:
+    zero = grid.k_values() == 0
+    if vals.ndim == len(grid.shape) and vals.shape[0] == zero.size and zero.any():
         vals = vals.copy()
-        vals[grid.K] = 0.0
+        vals[zero] = 0.0
     _require_finite(vals, grid)
     return vals
 
 
 def _require_finite(vals: np.ndarray, grid: TorusGrid) -> None:
-    """Raise at the first non-finite value of vals broadcast to the mesh."""
+    """Raise at the first non-finite value of vals broadcast to the mesh of
+    a grid or block."""
     if not np.all(np.isfinite(vals)):
         bad = np.argwhere(~np.isfinite(np.broadcast_to(vals, grid.shape)))[0].tolist()
         raise FloatingPointError(
-            f"symbol not finite at k={bad[0] - grid.K}, grid index {tuple(bad[1:])}")
+            f"symbol not finite at k={int(grid.k_values()[bad[0]])}, "
+            f"grid index {tuple(bad[1:])}")
 
 
-def coefficient_norms(grid: TorusGrid, cs: Sequence[np.ndarray],
+def coefficient_norms(grid: TorusGrid, powers: Sequence[np.ndarray],
                       mus: Sequence[OFLike]) -> list[list[float]]:
     """|| op[w_mu] f ||_{L^2(G)} for each mu, by discrete Plancherel with
-    smooth weights, from the (k, xi) coefficients c of f, for each c in cs;
-    each weight is evaluated once for all of them."""
+    smooth weights, from |c|^2 of the (k, xi) coefficients c of f, for each
+    |c|^2 in powers; each weight is evaluated once for all of them."""
     tau = grid.tau_mesh()
     xi = grid.xi_norm_mesh()
     w2 = [np.asarray(smooth_weight_eval(as_diff(mu), tau, xi)) ** 2 for mu in mus]
     volume = grid.T * grid.Lx ** grid.n
-    out = []
-    for c in cs:
-        power = np.abs(c) ** 2
-        out.append([float(np.sqrt(volume * float(np.sum(power * w)))) for w in w2])
-    return out
+    return [[float(np.sqrt(volume * float(np.sum(power * w)))) for w in w2]
+            for power in powers]
 
 
 @dataclass
@@ -201,22 +241,25 @@ def _invert_values(vals: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """1/vals on the live modes and 0 on the k=0 slab, in place of a full vals."""
     if vals.shape != grid.shape:
         vals = np.broadcast_to(vals, grid.shape).copy()
+    ks = grid.k_values()
+    k0 = ks == 0
     zero = vals == 0
-    zero[grid.K] = False
+    zero[k0] = False
     if zero.any():
         bad = np.argwhere(zero)[0]
-        k = int(bad[0] - grid.K)
+        k = int(ks[bad[0]])
         raise ZeroDivisionError(
             f"singular symbol at live frequency k={k}, grid index {tuple(bad[1:])}")
-    vals[grid.K] = 1.0
+    vals[k0] = 1.0
     np.divide(1.0, vals, out=vals)
-    vals[grid.K] = 0.0
+    vals[k0] = 0.0
     return vals
 
 
 def system_values(L: MatrixSymbol, grid: TorusGrid) -> tuple:
-    """L's entry rows vals[i][j] on the live mesh, each at its own broadcast
-    shape (_symbol_values) and each distinct entry object evaluated once."""
+    """L's entry rows vals[i][j] on the live mesh of a grid or block, each
+    at its own broadcast shape (_symbol_values) and each distinct entry
+    object evaluated once."""
     return L.entry_rows(lambda e: _symbol_values(e, grid))
 
 
@@ -259,8 +302,8 @@ def _adjugate_times(vals: Sequence, coeffs: Sequence[np.ndarray]):
 
 def system_solve(vals: Sequence, fc: Sequence[np.ndarray],
                  grid: TorusGrid) -> tuple:
-    """u = op[ad L] op[1/det L] f as fields, frequency by frequency, from L's
-    entry rows and the coefficients of f."""
+    """u = op[ad L] op[1/det L] f as fields of a grid or block, frequency by
+    frequency, from L's entry rows and the coefficients of f."""
     det = det_values(vals)
     _require_finite(det, grid)
     inv = _invert_values(det, grid)
@@ -274,21 +317,30 @@ def system_solve(vals: Sequence, fc: Sequence[np.ndarray],
     return tuple(u)
 
 
-def _distance_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """sum |a - b|^2, taken in place of a."""
+def _distance_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|^2, taken in place of a."""
     a -= b
-    return float(np.sum(np.abs(a) ** 2))
+    return np.abs(a) ** 2
 
 
 def system_residual(vals: Sequence, u: Sequence[Field],
                     fc: Sequence[np.ndarray]) -> tuple:
-    """(||op[L] u - f|| / ||f||, the coefficients of u) on the discrete basis,
-    from one transform of each returned u_j; one row of op[L] u is held at
-    a time."""
+    """(the summands |op[L] u - f|^2 of each row, the coefficients of u) on
+    a grid or block, from one transform of each returned u_j; one row of
+    op[L] u is held at a time."""
     uc = [uj.coefficients() for uj in u]
-    res = sum(map(_distance_sq, system_times(vals, uc), fc))
-    scale = sum(float(np.sum(np.abs(c) ** 2)) for c in fc)
-    return (float(np.sqrt(res / scale)) if scale else 0.0), uc
+    return [_distance_sq(a, b) for a, b in zip(system_times(vals, uc), fc)], uc
+
+
+def relative_residual(residual_sq: Sequence[np.ndarray],
+                      f_sq: Sequence[np.ndarray]) -> float:
+    """||op[L] u - f|| / ||f|| on the discrete basis (0 when f is zero), from
+    the summands of system_residual and |f|^2 over a whole grid: each array
+    is summed at once, in np.sum's pairwise order, so the result does not
+    depend on the blocks that filled it."""
+    res = sum(float(np.sum(r)) for r in residual_sq)
+    scale = sum(float(np.sum(p)) for p in f_sq)
+    return float(np.sqrt(res / scale)) if scale else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +350,11 @@ def system_residual(vals: Sequence, u: Sequence[Field],
 _HEADER = struct.Struct("<diiid")
 
 
-def write_field(path, f: Field) -> None:
-    g = f.grid
+def write_field(path, grid: TorusGrid, samples: np.ndarray) -> None:
+    """The grid's header, then its samples stored as complex64."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(g.T, g.K, g.n, g.N, g.Lx))
-        fh.write(np.ascontiguousarray(f.data, dtype=np.complex64).tobytes())
+        fh.write(_HEADER.pack(grid.T, grid.K, grid.n, grid.N, grid.Lx))
+        fh.write(np.ascontiguousarray(samples, dtype=np.complex64).tobytes())
 
 
 def read_field(path) -> Field:
@@ -311,4 +363,3 @@ def read_field(path) -> Field:
         grid = TorusGrid(T=T, K=K, n=n, N=N, Lx=Lx)
         raw = np.frombuffer(fh.read(), dtype=np.complex64)
     return Field(grid, raw.reshape(grid.shape).astype(complex))
-

@@ -393,6 +393,12 @@ def _sample_ratio(sym, mu: OrderFunctionDiff, grid: GridSpec):
     return tau, xi, vals / weight_eval(mu, tau, xi)
 
 
+# bytes of the complex (mesh, m, m) stack that det_values hands to LAPACK for
+# m > 4; a matrix and mesh that would stack more are refused before M is
+# evaluated
+_STACK_CAP = 256 * 2 ** 20
+
+
 def sample_matrix(M: MatrixSymbol, grid: GridSpec):
     """(tau axis, |xi| axis, M's entry rows, |det M| on the mesh) from one
     evaluation of M; each entry keeps its own broadcast shape (a constant
@@ -401,6 +407,12 @@ def sample_matrix(M: MatrixSymbol, grid: GridSpec):
     if not all(e.radial for row in M.entries for e in row):
         raise ValueError("mixed-order certification needs radial entries")
     tau, xi = mesh_axes(grid)
+    m = M.m
+    stack = 16 * tau.size * xi.size * m * m
+    if m > 4 and stack > _STACK_CAP:
+        raise ValueError(f"the {m}x{m} determinant on the {tau.size} x {xi.size} "
+                         f"mesh would stack {stack >> 20} MiB of entries, above "
+                         f"the {_STACK_CAP >> 20} MiB cap")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         vals = M.evaluate(tau, xi)
         for row in vals:

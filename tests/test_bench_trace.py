@@ -14,6 +14,8 @@ import sys
 
 import pytest
 
+from maxreg.spectral import TorusGrid
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -50,9 +52,10 @@ def test_traced_sampled_job():
     # one roots call and one outermost evaluation of the 512 x 257 mesh
     ("boundary_neumann", {"factorization.roots_calls": 1,
                           "symbols.grid_points": 131584}),
-    # u*: two fields made from coefficients; u: two fields made, and each
-    # transformed once for the residual
-    ("whole", {"spectral.transforms": 6}),
+    # per block of time slabs, u*: two fields made from coefficients; u: two
+    # fields made, and each transformed once for the residual
+    ("whole", {"spectral.transforms":
+               6 * len(list(TorusGrid(K=32, n=2, N=64).slab_blocks()))}),
 ])
 def test_traced_certify_job(name, expect):
     spec, = [s for s in _workloads().certify_pass(1, 0) if s["name"] == name]

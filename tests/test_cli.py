@@ -16,7 +16,7 @@ import pytest
 from maxreg.boundary import complementing_check, dirichlet_pair
 from maxreg.cli import VERSION, _build_parser, _median, main, parse_grid
 from maxreg.factorization import d_symbol
-from maxreg.spectral import Field
+from maxreg.spectral import Field, TorusGrid
 from maxreg.polygons import ZERO_OF, of_const
 from maxreg.symbols import GridSpec, PolySymbol
 
@@ -458,6 +458,43 @@ def test_solve_whole_evaluates_each_entry_of_l_once(capsys, monkeypatch):
     assert code == 0 and len(calls) <= 4
 
 
+def test_solve_whole_evaluates_each_time_mode_of_l_once(capsys, monkeypatch):
+    """On a grid of several blocks of time slabs, each entry of L is
+    evaluated once per block, and the blocks' taus run over the grid's
+    modes once, in order (tau = 0 is evaluated at omega and set to 0)."""
+    grid = TorusGrid(K=8, n=2, N=64)
+    blocks = len(list(grid.slab_blocks()))
+    assert blocks > 1
+    taus = {}
+    real = PolySymbol.__call__
+
+    def counted(self, tau, xi):
+        taus.setdefault(id(self), []).append(np.ravel(tau))
+        return real(self, tau, xi)
+    monkeypatch.setattr(PolySymbol, "__call__", counted)
+    code, _ = run_json(capsys, "solve", "whole", "--grid", "K=8,n=2,N=64")
+    assert code == 0 and len(taus) <= 4
+    modes = grid.tau_values()
+    modes[grid.K] = grid.omega
+    for seen in taus.values():
+        assert len(seen) == blocks
+        np.testing.assert_array_equal(np.concatenate(seen), modes)
+
+
+def test_solve_whole_field_files_are_those_of_one_pass(capsys, tmp_path):
+    """The field files of a grid of several blocks of time slabs are byte
+    for byte those written when the whole grid was solved at once."""
+    assert len(list(TorusGrid(K=8, n=2, N=64).slab_blocks())) > 1
+    code, _, _ = run(capsys, "solve", "whole", "--grid", "K=8,n=2,N=64",
+                     "--seed", "3", "--out", str(tmp_path))
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / f"{name}.field").read_bytes()).hexdigest()
+               for name in ("u1", "u2")}
+    assert digests == {
+        "u1": "f8d7bd2befd826e29f046b7ae93eaaeee86c3d79550e403e1cb94cbb79b3bef8",
+        "u2": "aa4d5791dbdaae607cf3489c9b1b5caf2cdf53e5cd087389eff834034130dc8f"}
+
+
 def test_solve_half_manufactured(capsys):
     code, rep = run_json(capsys, "solve", "half", "--grid", "K=4,Nn=64",
                          "--bc", "dirichlet", "--seed", "1")
@@ -811,6 +848,9 @@ GOLDEN_DIGESTS = {
         "ca857a82b569374e1b7e5b455a4b7e99310717ead95795d90c7f705bce98e140",
     ("solve", "whole", "--grid", "K=4,N=16", "--seed", "2"):
         "957c7979f92578cb520a37102cad4137f50b27ceb6d6958d5721c9493ce07d44",
+    # 17 blocks of 4 time slabs
+    ("solve", "whole", "--grid", "K=32,n=2,N=64", "--seed", "3"):
+        "93b0dd7ea28d0d82a04f6fad9750290cbcff948c49c17ed87cbea2bfbe339442",
     ("check", "boundary", "neumann_13", "--grid", "n_tau=32,n_xi=32"):
         "16bf22170ed22f27a9dead2375a0f18503a2bda1b9bc21582bdbd9811db8cf04",
 }
@@ -898,12 +938,13 @@ def test_csv_table_rendering(capsys):
 
 @pytest.mark.parametrize("argv, limit_mib", [
     (("check", "boundary", "neumann_13", "--grid", "n_tau=256,n_xi=256"), 26),
-    (("solve", "whole", "--grid", "K=32,n=2,N=64"), 48),
+    (("solve", "whole", "--grid", "K=32,n=2,N=64"), 26),
 ])
 def test_peak_traced_memory(capsys, argv, limit_mib):
     """Matrix entries keep their own broadcast shape and no (m, m, ...)
     stack is built: a stack of the 16 entries of B^(0) on the 512 x 257
-    mesh alone takes 32 MiB."""
+    mesh alone takes 32 MiB.  solve whole keeps whole-grid arrays only for
+    u's complex64 samples and the real summands of its sums (16 MiB here)."""
     tracemalloc.start()
     try:
         code, _, _ = run(capsys, *argv)
@@ -928,3 +969,34 @@ def test_overflowing_weight_is_named_before_the_matrix_is_sampled(capsys, tmp_pa
     assert code == 1 and out == ""
     assert err == "error: weight not finite at tau=-1000000.0, |xi|=3.340484983513244\n"
     assert peak < 20 * 2 ** 20
+
+
+def test_boundary_file_whose_determinant_stack_is_too_large_is_refused(capsys, tmp_path):
+    """Where delta's weight stays finite, B^(24) on the 512 x 257 mesh would
+    stack its 28 x 28 entries in 1574 MiB for the determinant: refused with
+    one error line before the matrix is evaluated."""
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(_trace_pair_file(
+        0, 1, m=24, nu=of_const(24).to_jsonable())))
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "check", "boundary", str(path), "--grid",
+                             "tau_max=2,xi_max=2,n_tau=256,n_xi=256")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and out == ""
+    assert err == ("error: the 28x28 determinant on the 512 x 257 mesh would "
+                   "stack 1574 MiB of entries, above the 256 MiB cap\n")
+    assert peak < 20 * 2 ** 20
+
+
+def test_boundary_file_under_the_stack_cap_certifies(capsys, tmp_path):
+    """B^(8) on the default mesh stacks 12 x 12 entries in 18 MiB: it is
+    certified, and fails both checks, as before the cap."""
+    path = tmp_path / "bc.json"
+    path.write_text(json.dumps(_trace_pair_file(
+        0, 1, m=8, nu=of_const(8).to_jsonable())))
+    code, rep = run_json(capsys, "check", "boundary", str(path))
+    assert code == 2
+    assert rep["summary"][:2] == ["lopatinskii: FAIL", "complementing: FAIL"]

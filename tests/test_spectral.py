@@ -15,6 +15,7 @@ from maxreg.spectral import (
     coefficient_norms,
     random_band_limited_coefficients,
     read_field,
+    relative_residual,
     system_residual,
     system_solve,
     system_times,
@@ -52,8 +53,19 @@ def _op(m, f):
     return Field.from_coefficients(f.grid, c)
 
 
+def _power(c):
+    """|c|^2 of coefficients c, as coefficient_norms and relative_residual
+    take them."""
+    return np.abs(c) ** 2
+
+
 def _norm(f, mu):
-    return coefficient_norms(f.grid, [f.coefficients()], [mu])[0][0]
+    return coefficient_norms(f.grid, [_power(f.coefficients())], [mu])[0][0]
+
+
+def _residual(vals, u, fc):
+    """||op[L] u - f|| / ||f|| of a solve on one block, the whole grid."""
+    return relative_residual(system_residual(vals, u, fc)[0], [_power(c) for c in fc])
 
 
 def _plain_l2_norm(f):
@@ -163,7 +175,8 @@ def test_weight_lift_identity():
 
 
 def test_norm_zero_field():
-    assert coefficient_norms(GRID, [np.zeros(GRID.shape, complex)], [MU_D]) == [[0.0]]
+    assert coefficient_norms(GRID, [_power(np.zeros(GRID.shape, complex))],
+                             [MU_D]) == [[0.0]]
 
 
 def test_norm_single_mode():
@@ -197,7 +210,7 @@ def test_norm_lift_equivalence_nu1():
 def test_vertex_norm_equivalence():
     """norm(mu_D) is comparable to the sum of the three vertex norms."""
     f = _rand(9)
-    total, *vertex = coefficient_norms(GRID, [f.coefficients()], [
+    total, *vertex = coefficient_norms(GRID, [_power(f.coefficients())], [
         MU_D, _linear(4, 0), _linear(2, 1), _linear(0, 1)])[0]
     assert total <= sum(vertex) <= 4.0 * total
 
@@ -229,7 +242,8 @@ def test_solve_scalar_constant_bound():
         fc = [_rand(20 + seed).coefficients()]
         u = system_solve(vals, fc, GRID)
         _, uc = system_residual(vals, u, fc)
-        (_, norm_u), (norm_f, _) = coefficient_norms(GRID, [uc[0], fc[0]], [0, MU_D])
+        (_, norm_u), (norm_f, _) = coefficient_norms(
+            GRID, [_power(uc[0]), _power(fc[0])], [0, MU_D])
         assert norm_u / norm_f <= 2.0 * np.sqrt(3.0)
 
 
@@ -255,7 +269,7 @@ def test_solve_system_manufactured():
     u = system_solve(vals, fc, GRID)
     for got, want in zip(u, u_star):
         assert np.abs(got.data - want.data).max() / np.abs(want.data).max() < 1e-9
-    assert system_residual(vals, u, fc)[0] < 1e-10
+    assert _residual(vals, u, fc) < 1e-10
 
 
 def test_solve_system_elementary_mode():
@@ -301,13 +315,13 @@ def test_scalar_is_the_1x1_system(m):
     vals = _scalar(m)
     assert np.array_equal(next(system_times(vals, [c])), vals[0][0] * c)
     u = system_solve(vals, [c], GRID)
-    assert system_residual(vals, u, [c])[0] < 1e-12
+    assert _residual(vals, u, [c]) < 1e-12
 
 
 def test_field_io_round_trip(tmp_path):
     f = _rand(15)
     path = tmp_path / "field.bin"
-    write_field(path, f)
+    write_field(path, f.grid, f.data)
     g = read_field(path)
     assert g.grid == f.grid
     assert g.oscillatory
@@ -319,7 +333,7 @@ def test_field_io_n2(tmp_path):
     grid = TorusGrid(K=2, N=16, n=2)
     f = _band_limited(grid, 16)
     path = tmp_path / "field2.bin"
-    write_field(path, f)
+    write_field(path, f.grid, f.data)
     g = read_field(path)
     assert g.grid == grid
     assert np.abs(g.data - f.data).max() / np.abs(f.data).max() < 1e-6
@@ -357,7 +371,7 @@ def test_solve_whole_system_takes_one_determinant(monkeypatch):
     monkeypatch.setattr(spectral, "det_values", counted)
     u = system_solve(vals, fc, grid)
     assert calls == [grid.shape + (2, 2)]
-    assert system_residual(vals, u, fc)[0] < 1e-12
+    assert _residual(vals, u, fc) < 1e-12
 
 
 @pytest.mark.parametrize("m", [1, 3])
@@ -378,7 +392,7 @@ def test_solve_whole_system_of_any_size(m):
     u = system_solve(vals, fc, grid)
     for got, want in zip(u, u_star):
         assert np.abs(got.data - want.data).max() < 1e-12 * np.abs(want.data).max()
-    assert system_residual(vals, u, fc)[0] < 1e-14
+    assert _residual(vals, u, fc) < 1e-14
 
 
 def test_xi_norm_mesh_broadcasts_over_time():
@@ -394,11 +408,11 @@ def test_norm_table():
     """The norms of several coefficient arrays share one weight table; each
     array's row equals its norms taken alone."""
     f, g = _rand(19), _rand(20)
-    rows, other = coefficient_norms(f.grid, [f.coefficients(), g.coefficients()],
-                                    [0, MU_D])
+    rows, other = coefficient_norms(
+        f.grid, [_power(f.coefficients()), _power(g.coefficients())], [0, MU_D])
     assert rows[0] == pytest.approx(_plain_l2_norm(f))
     assert rows[1] > rows[0]
-    assert other == coefficient_norms(g.grid, [g.coefficients()], [0, MU_D])[0]
+    assert other == coefficient_norms(g.grid, [_power(g.coefficients())], [0, MU_D])[0]
 
 
 @pytest.mark.parametrize("grid", [TorusGrid(K=4, N=32), TorusGrid(K=3, N=16, n=2)],
@@ -423,3 +437,125 @@ def test_band_limited_coefficients(grid):
     np.testing.assert_array_equal(c, random_band_limited_coefficients(grid, seed=5))
     assert not np.array_equal(c, random_band_limited_coefficients(grid, seed=6))
     assert Field.from_coefficients(grid, c).oscillatory
+
+
+# --- blocks of time slabs ---------------------------------------------------
+
+# partitions of the 7 modes of K = 3 (k = 0 is index 3): blocks that end and
+# start at k = 0, k = 0 alone, and one slab each
+_PARTITIONS = {
+    "ends_at_k0": [(0, 4), (4, 7)],
+    "starts_at_k0": [(0, 3), (3, 7)],
+    "k0_alone": [(0, 2), (2, 3), (3, 4), (4, 7)],
+    "one_slab_each": [(i, i + 1) for i in range(7)],
+}
+_BLOCK_GRIDS = [TorusGrid(K=3, N=16), TorusGrid(K=3, n=2, N=8)]
+
+
+def _partitions():
+    return [pytest.param(grid, bounds, id=f"n{grid.n}-{name}")
+            for grid in _BLOCK_GRIDS for name, bounds in _PARTITIONS.items()]
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(K=32, n=2, N=64), TorusGrid(K=4, N=16),
+                                  TorusGrid(K=2, n=2, N=256)], ids=["4", "all", "1"])
+def test_slab_blocks_cover_the_modes_in_order(grid):
+    """The blocks run over the modes once, in order, each of 2^14 entries
+    at most unless it is one slab, and each answers as the grid does with
+    its modes restricted."""
+    blocks = list(grid.slab_blocks())
+    assert [b.lo for b in blocks] == [0] + [b.hi for b in blocks[:-1]]
+    assert blocks[-1].hi == 2 * grid.K + 1
+    for b in blocks:
+        assert b.hi - b.lo == 1 or np.prod(b.shape) <= 2 ** 14
+        assert b.shape == (b.hi - b.lo,) + grid.shape[1:]
+        np.testing.assert_array_equal(b.k_values(), grid.k_values()[b.lo:b.hi])
+        np.testing.assert_array_equal(b.tau_mesh(), grid.tau_mesh()[b.lo:b.hi])
+        np.testing.assert_array_equal(b.xi_norm_mesh(), grid.xi_norm_mesh())
+        assert (b.K, b.omega) == (grid.K, grid.omega)
+
+
+@pytest.mark.parametrize("grid, bounds", _partitions())
+def test_block_draws_reassemble_the_one_shot_draw(grid, bounds):
+    """Blocks drawn in order from one generator hold, bit for bit, the
+    coefficients drawn at once over the grid: the live band's normals in C
+    order under the envelope."""
+    k_width = max(1.0, grid.K / 6.0)
+    xi_width = np.abs(grid.xi_axis()).max() / 6.0
+    envelope = np.broadcast_to(np.exp(-(grid.tau_mesh() / (grid.omega * k_width)) ** 2
+                                      - (grid.xi_norm_mesh() / xi_width) ** 2), grid.shape)
+    live = envelope >= 1e-14
+    live[grid.K] = False
+    rng = np.random.default_rng(8)
+    band = rng.standard_normal((np.count_nonzero(live), 2)).view(complex)[:, 0]
+    one_shot = np.zeros(grid.shape, complex)
+    one_shot[live] = band * envelope[live]
+
+    rng = np.random.default_rng(8)
+    blocks = [random_band_limited_coefficients(grid.block(lo, hi), rng)
+              for lo, hi in bounds]
+    assert np.array_equal(np.concatenate(blocks), one_shot)
+    assert np.array_equal(random_band_limited_coefficients(grid, 8), one_shot)
+
+
+@pytest.mark.parametrize("grid, bounds", _partitions())
+def test_block_solve_reassembles_the_grid_solve(grid, bounds):
+    """The system primitives act on each block as on the grid: L's values,
+    f, u and the residual's summands of the blocks make the grid's bit for
+    bit, and so do the relative residual and the norms they give."""
+    L = chg_matrix(grid.n)
+    c_star = [random_band_limited_coefficients(grid, seed) for seed in (3, 4)]
+
+    def solve(block, c):
+        vals = system_values(L, block)
+        fc = list(system_times(vals, c))
+        u = system_solve(vals, fc, block)
+        res_sq, uc = system_residual(vals, u, fc)
+        return [fc, [uj.data for uj in u], res_sq, uc]
+
+    whole = solve(grid, c_star)
+    parts = [solve(grid.block(lo, hi), [c[lo:hi] for c in c_star]) for lo, hi in bounds]
+    for i, arrays in enumerate(whole):
+        for j, want in enumerate(arrays):
+            assert np.array_equal(np.concatenate([p[i][j] for p in parts]), want)
+    fc, _, res_sq, uc = whole
+    assert relative_residual(res_sq, [_power(c) for c in fc]) < 1e-14
+    assert coefficient_norms(grid, [_power(c) for c in uc], [0, MU_D]) == \
+        coefficient_norms(grid, [_power(np.concatenate([p[3][j] for p in parts]))
+                                 for j in range(2)], [0, MU_D])
+
+
+def test_block_faults_name_the_grid_mode():
+    """A non-finite or singular value in a block is located by the grid's
+    mode k, not by its index in the block; the k = 0 slab of a block that
+    holds it is not live."""
+    grid = TorusGrid(K=2, N=8)
+    block = grid.block(3, 5)  # k = 1, 2
+    vals = np.ones(block.shape)
+    vals[1, 3] = np.nan
+    with pytest.raises(FloatingPointError) as err:
+        spectral._require_finite(vals, block)
+    assert str(err.value) == "symbol not finite at k=2, grid index (3,)"
+    vals = np.ones(block.shape)
+    vals[0, 5] = 0.0
+    with pytest.raises(ZeroDivisionError, match="at live frequency k=1, grid index"):
+        spectral._invert_values(vals, block)
+    vals = np.ones((2, 8))
+    vals[0] = 0.0  # the k = 0 slab of the block of k = 0, 1
+    inv = spectral._invert_values(vals, grid.block(2, 4))
+    assert not inv[0].any() and np.all(inv[1] == 1.0)
+    # tau = 0 is evaluated at omega, and its slab is set to 0 before the
+    # check: a symbol that fails at tau = omega is named at k = 1
+    fails_at_omega = SymbolFn(fn=lambda t, x: np.where(t == grid.omega, np.inf, 1.0) + 0 * x)
+    for where in (grid, grid.block(2, 4)):
+        with pytest.raises(FloatingPointError, match=r"at k=1, grid index \(0,\)"):
+            _scalar(fails_at_omega, where)
+
+
+def test_field_of_a_block_is_oscillatory_unless_it_holds_k0():
+    grid = TorusGrid(K=2, N=8)
+    data = np.ones((2, 8))
+    assert Field(grid.block(3, 5), data).oscillatory
+    assert not Field(grid.block(2, 4), data).oscillatory
+    data[0] = 0.0
+    assert Field(grid.block(2, 4), data).oscillatory
