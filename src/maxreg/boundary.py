@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -184,12 +185,14 @@ def complementing_check(bc: Sequence[BoundaryOperator],
     return out
 
 
+@cache  # frozen operators of exact orders: built once per process
 def dirichlet_pair() -> tuple[BoundaryOperator, BoundaryOperator]:
     """(Tr_0, Tr_1) with targets (T_0(mu_D), T_1(mu_D))."""
     return (trace_operator(0, trace_order_function(MU_D, 0), "dirichlet-0"),
             trace_operator(1, trace_order_function(MU_D, 1), "dirichlet-1"))
 
 
+@cache
 def neumann_pair_13() -> tuple[BoundaryOperator, BoundaryOperator]:
     """(Tr_1, Tr_3) with targets (T_1(mu_D), T_3(mu_D))."""
     return (trace_operator(1, trace_order_function(MU_D, 1), "neumann-1"),

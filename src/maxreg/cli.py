@@ -769,34 +769,49 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _build_parser():
+# command -> (help, its positionals as {name: add_argument keywords}); a
+# command without flags of its own holds the table of its subcommands
+_PARSERS = {
+    "polygon": ("Newton polygon and order-function report",
+                {"target": {"help": "builtin name (chg-D) or symbol JSON file"}}),
+    "check": ("run a certification (exit 2 on failure)",
+              {"what": {"choices": ("ellipticity", "mixed-order", "boundary")},
+               "target": {"help": "chg-D | chg-L | dirichlet | neumann_13 | file"}}),
+    "chg": ("report the standard CHG objects", {}),
+    "solve": ("manufactured solve with norm tables", {
+        "solve whole": ("whole-space CHG system solve", {}),
+        "solve half": ("half-space scalar solve, or a system ensemble", {})}),
+    "probe": ("borderline Dirichlet datum growth table", {}),
+    "export": ("expand a JSON report into a CSV bundle",
+               {"report": {"help": "report file produced by this tool"}}),
+}
+
+
+def _build_parser(argv=()):
+    """The parser of the command argv[0] names, or of every command when it
+    names none, so that --help and a bad command list them all."""
     p = _Parser(prog="maxreg",
                 description="Newton-polygon calculus and time-periodic solvers "
                             "for the Cahn-Hilliard-Gurtin system")
-    sub = p.add_subparsers(dest="cmd", required=True)
 
-    def command(subparsers, name, help):
+    def add(subparsers, name, help, args):
         parser = subparsers.add_parser(name.split()[-1], help=help)
+        if name not in _COMMAND_OPTIONS:  # solve: its domains take the flags
+            domains = parser.add_subparsers(dest="domain", required=True)
+            for domain, entry in args.items():
+                add(domains, domain, *entry)
+            return
         for key in (*_COMMAND_OPTIONS[name], *_EVERY_COMMAND):
             opt = _OPTIONS[key]
             parser.add_argument(f"--{key}", default=opt.default, type=opt.parse,
                                 choices=opt.choices, help=opt.help)
-        return parser
+        for arg, kwargs in args.items():
+            parser.add_argument(arg, **kwargs)
 
-    command(sub, "polygon", "Newton polygon and order-function report"
-            ).add_argument("target", help="builtin name (chg-D) or symbol JSON file")
-    sc = command(sub, "check", "run a certification (exit 2 on failure)")
-    sc.add_argument("what", choices=("ellipticity", "mixed-order", "boundary"))
-    sc.add_argument("target",
-                    help="chg-D | chg-L | dirichlet | neumann_13 | file")
-    command(sub, "chg", "report the standard CHG objects")
-    domains = sub.add_parser("solve", help="manufactured solve with norm tables"
-                             ).add_subparsers(dest="domain", required=True)
-    command(domains, "solve whole", "whole-space CHG system solve")
-    command(domains, "solve half", "half-space scalar solve, or a system ensemble")
-    command(sub, "probe", "borderline Dirichlet datum growth table")
-    command(sub, "export", "expand a JSON report into a CSV bundle"
-            ).add_argument("report", help="report file produced by this tool")
+    sub = p.add_subparsers(dest="cmd", required=True)
+    names = [argv[0]] if argv and argv[0] in _PARSERS else _PARSERS
+    for name in names:
+        add(sub, name, *_PARSERS[name])
     return p
 
 
@@ -812,7 +827,8 @@ _COMMANDS = {
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else argv
+        args = _build_parser(argv).parse_args(argv)
         cfg = build_settings(args)
         # floating-point faults raise FloatingPointError, an ArithmeticError
         with np.errstate(over="raise", divide="raise", invalid="raise"):

@@ -19,7 +19,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -46,7 +46,7 @@ from .polygons import (
     smooth_weight_eval,
     trace_order_function,
 )
-from .spectral import SolveResult, require_integers, require_positive_finite
+from .spectral import SolveResult, require_finite_scales, require_integers, require_positive_finite
 from .symbols import adjugate, normal_coeffs
 
 _DEGENERATE = 1e-6  # |i(sigma - rho)| * Ln below this -> series branch
@@ -78,6 +78,7 @@ class HalfGrid:
         if self.n == 2 and not self.N >= 1:
             raise ValueError("N >= 1 tangential samples required for n = 2")
         require_positive_finite(self, "T", "Lx")
+        require_finite_scales(self, self.n - 1)
         if self.Ln is not None:
             require_positive_finite(self, "Ln")
         else:  # sixteen decay lengths of the slowest mode (k=1, xi'=0)
@@ -112,14 +113,19 @@ class HalfGrid:
     def column_mesh(self) -> tuple:
         """(index, tau, |xi'|) of the live (k != 0) columns in row-major order:
         index holds one integer array per column axis, so a[index] gathers
-        the live columns of a col_shape array; tau and |xi'| are float arrays."""
+        the live columns of a col_shape array; tau and |xi'| are float arrays.
+        Built once per grid; the arrays are read-only."""
+        return self._mesh
+
+    @cached_property
+    def _mesh(self) -> tuple:
         live = np.ones(self.col_shape, dtype=bool)
         live[self.K] = False
         index = np.nonzero(live)
         tau = (index[0] - self.K) * self.omega
         xi = (np.abs(2.0 * np.pi * np.fft.fftfreq(self.N, d=self.Lx / self.N))[index[1]]
               if self.n == 2 else np.zeros(tau.size))
-        return index, tau, xi
+        return tuple(map(_read_only, index)), _read_only(tau), _read_only(xi)
 
     def columns(self):
         """(index, tau, |xi'|) per live column, in column_mesh order."""
@@ -127,8 +133,9 @@ class HalfGrid:
         return zip(zip(*(i.tolist() for i in index)), tau, xi)
 
     def trace_stencil(self, j: int) -> np.ndarray:
-        """Fornberg weights of Tr_j on the first j + 6 samples of a column."""
-        return fd_weights(self.xn()[:j + 6], 0.0, j)[:, j]
+        """Fornberg weights of Tr_j on the first j + 6 samples of a column,
+        read-only: built once per (Ln, Nn, j)."""
+        return _trace_stencil(self.Ln, self.Nn, j)
 
     def to_jsonable(self):
         return asdict(self)
@@ -489,6 +496,16 @@ def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
     return c
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # a cached array is handed to every caller
+    return a
+
+
+@lru_cache(maxsize=32)
+def _trace_stencil(Ln: float, Nn: int, j: int) -> np.ndarray:
+    return _read_only(fd_weights(np.linspace(0.0, Ln, Nn)[:j + 6], 0.0, j)[:, j])
+
+
 @lru_cache(maxsize=32)
 def derivative_matrix(nn: int, h: float, order: int) -> np.ndarray:
     """The 4th-order differentiation matrix of the given order on nn samples
@@ -499,10 +516,10 @@ def derivative_matrix(nn: int, h: float, order: int) -> np.ndarray:
     interior sample takes the row W[npts // 2].  A window of order + 4
     points makes every row 4th-order accurate, the one-sided edge rows
     included; for an even order the interior row is the centred
-    (order + 3)-point stencil, its first weight 0 up to rounding."""
+    (order + 3)-point stencil, its first weight 0 up to rounding; read-only."""
     npts = min(order + 4, nn)
-    return np.stack([fd_weights((np.arange(npts) - r) * h, 0.0, order)[:, order]
-                     for r in range(npts)])
+    return _read_only(np.stack([fd_weights((np.arange(npts) - r) * h, 0.0, order)[:, order]
+                                for r in range(npts)]))
 
 
 def _differentiate(cols: np.ndarray, W: np.ndarray) -> np.ndarray:

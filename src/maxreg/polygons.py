@@ -22,6 +22,8 @@ import numpy as np
 
 RatLike = Union[int, str, Fraction]
 
+_exact_cache = lru_cache(maxsize=256)  # pure derivations: once per process
+
 
 def frac(x: RatLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -258,6 +260,7 @@ def o_elem(y: RatLike) -> OrderFunction:
                           (None, Fraction(0), y)))
 
 
+@_exact_cache
 def order_function_of(p: NewtonPolygon) -> OrderFunction:
     chain = p.upper_chain()
     if not chain:
@@ -273,6 +276,7 @@ def order_function_of(p: NewtonPolygon) -> OrderFunction:
     return OrderFunction(tuple(pieces))
 
 
+@_exact_cache
 def polygon_of(mu: OrderFunction) -> NewtonPolygon:
     if not mu.strictly_positive:
         raise ValueError("polygon_of requires a strictly positive order function")
@@ -287,6 +291,11 @@ def is_regular_in_time(mu: OrderFunction) -> bool:
 
 def elementary_decomposition(mu: OrderFunction) -> list[tuple[Fraction, Fraction]]:
     """mu = sum e_j * o_{y_j} with y_j = 1/gamma_j, for mu regular in time."""
+    return list(_elementary_pieces(mu))
+
+
+@_exact_cache
+def _elementary_pieces(mu: OrderFunction) -> tuple[tuple[Fraction, Fraction], ...]:
     if not mu.strictly_positive:
         raise ValueError("decomposition requires a strictly positive order function")
     if mu.pieces == ZERO_OF.pieces or not is_regular_in_time(mu):
@@ -302,7 +311,7 @@ def elementary_decomposition(mu: OrderFunction) -> list[tuple[Fraction, Fraction
             continue
         y = Fraction(0) if b.s == a.s else (b.s - a.s) / e
         out.append((y, e))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +463,7 @@ class ChgShape:
         return -self.gamma_perp
 
 
+@_exact_cache
 def chg_shape(mu: OrderFunction) -> Optional[ChgShape]:
     """Recognize vertices {(0,0),(r1,0),(r2,s2),(0,s2)} with integers r2 < r1."""
     if not mu.strictly_positive or not is_regular_in_time(mu):
@@ -484,6 +494,7 @@ def chg_shape(mu: OrderFunction) -> Optional[ChgShape]:
     return None
 
 
+@_exact_cache
 def trace_order_function(mu: OrderFunction, j: int) -> OrderFunction:
     """T_j(mu) for a CHG-shaped mu: the boundary space of the j-th trace."""
     shape = chg_shape(mu)

@@ -17,6 +17,7 @@ or a block alike: a grid is the block of all its modes.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
@@ -44,6 +45,20 @@ def require_positive_finite(grid, *names) -> None:
             raise ValueError(f"grid {name} must be a positive finite number, got {value!r}")
 
 
+def require_finite_scales(grid, dims: int) -> None:
+    """ValueError naming T when the frequency 2 pi / T is not finite, or Lx
+    when the volume T * Lx^dims the norms take is not finite."""
+    with np.errstate(over="ignore"):
+        try:  # a Python float or int power past the floats raises
+            volume = float(grid.T * grid.Lx ** dims)
+        except OverflowError:
+            volume = math.inf
+        if not np.isfinite(grid.omega):
+            raise ValueError(f"grid T={grid.T!r} too small: frequency 2 pi / T not finite")
+    if not math.isfinite(volume):
+        raise ValueError(f"grid Lx too large: volume T * Lx^{dims} not finite")
+
+
 # entries of a block of time slabs, as solve whole takes them: 4 slabs of a
 # 64 x 64 mesh
 _BLOCK_ENTRIES = 2 ** 14
@@ -68,6 +83,7 @@ class TorusGrid:
         require_positive_finite(self, "T", "Lx")
         if self.n not in (1, 2):
             raise ValueError("spatial dimension must be 1 or 2")
+        require_finite_scales(self, self.n)
 
     @property
     def omega(self) -> float:

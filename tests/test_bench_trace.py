@@ -1,9 +1,9 @@
 """The benchmark's traced pass, run against the package in this checkout.
 
 A traced job wraps the package's public functions and methods (among them
-MatrixSymbol.evaluate) and reads halfspace.derivative_matrix's cache
-counters; this keeps a change to what it hooks from breaking
-`bench/run.py --trace 1` unnoticed.
+MatrixSymbol.evaluate and the cached exact derivations) and reads
+halfspace.derivative_matrix's cache counters; this keeps a change to what
+it hooks from breaking `bench/run.py --trace 1` unnoticed.
 """
 
 import importlib.util
@@ -46,6 +46,16 @@ def test_traced_sampled_job():
     assert record["problems"] == []
     assert record["layers"]["halfspace.derivative_matrix_builds"] == 1
     assert record["layers"]["halfspace.columns_solved"] == 32
+
+
+def test_traced_probe_job():
+    """Each order function's hull is built once for the four rows: a lost
+    cache, or a tracer that stops wrapping the cached functions, moves the
+    count (22 builds before the exact layer was cached)."""
+    spec, = _workloads().probe_pass(1, 0)
+    record = _traced(spec)
+    assert record["problems"] == []
+    assert record["layers"]["polygons.hull_builds"] == 7
 
 
 @pytest.mark.parametrize("name, expect", [

@@ -523,6 +523,19 @@ def test_degenerate_grid_is_one_error_line(capsys, tmp_path, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv, key", [
+    (("solve", "whole", "--grid", "K=4,n=2,N=16,T=1e-310"), "T=1e-310"),
+    (("solve", "whole", "--grid", "K=4,n=2,N=16,Lx=1e300"), "Lx"),
+    (("solve", "half", "--grid", "K=4,Nn=64,T=1e-310"), "T=1e-310"),
+])
+def test_grid_past_the_floats_names_its_key(capsys, argv, key):
+    """A T whose frequency 2 pi / T, or an Lx whose volume T * Lx^n, is not
+    finite is named, not met later as a bare floating-point error."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: grid {key} too ")
+
+
 def test_solve_half_ensemble(capsys):
     code, rep = run_json(capsys, "solve", "half", "--grid", "K=4,Nn=64",
                          "--ensemble", "3")
@@ -674,6 +687,19 @@ def test_each_command_takes_only_the_flags_it_reads():
              for name, p in _command_parsers(_build_parser()).items()}
     assert flags == {name: own | every for name, own in want.items()}
     assert sum(map(len, flags.values())) == 33
+
+
+@pytest.mark.parametrize("cmd", ["polygon", "check", "chg", "solve", "probe", "export"])
+def test_each_command_builds_only_its_own_parser(cmd):
+    """The parser built for argv[0] = cmd holds that command alone, with the
+    help text and flags it has in the parser of every command."""
+    full = _command_parsers(_build_parser())
+    own = _command_parsers(_build_parser([cmd, "--help"]))
+    assert sorted(own) == sorted(name for name in full if name.split()[0] == cmd)
+    for name, parser in own.items():
+        assert parser.format_help() == full[name].format_help()
+        assert [(a.option_strings, a.dest, a.default, a.choices) for a in parser._actions] \
+            == [(a.option_strings, a.dest, a.default, a.choices) for a in full[name]._actions]
 
 
 @pytest.mark.parametrize("argv, message", [

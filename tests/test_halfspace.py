@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxreg import halfspace
+from maxreg import halfspace, polygons
 from maxreg.boundary import (
     BoundaryOperator,
     dirichlet_pair,
@@ -103,6 +103,15 @@ def test_grid_rejects_ln_too_small_for_trace_stencils():
     with pytest.raises(ValueError, match="Ln=1e-300 too small"):
         HalfGrid(K=2, Nn=64, Ln=1e-300)
     assert HalfGrid(K=2, Nn=64, Ln=1e-30).Ln == 1e-30
+
+
+def test_grid_refuses_scales_past_the_floats():
+    """2 pi / T and the volume T * Lx^(n - 1) of the norms must be finite."""
+    with pytest.raises(ValueError, match="grid T=1e-310 too small"):
+        HalfGrid(K=2, Nn=64, T=1e-310)
+    with pytest.raises(ValueError, match=r"grid Lx too large: volume T \* Lx\^1"):
+        HalfGrid(K=2, n=2, N=4, Nn=64, T=1e200, Lx=1e200)
+    assert HalfGrid(K=2, Nn=64, Lx=10 ** 400).n == 1  # n = 1: no Lx in the volume
 
 
 @pytest.mark.parametrize("name", ["K", "N", "Nn"])
@@ -872,6 +881,30 @@ def _calls_in_solve(monkeypatch, name, K):
 def test_solve_scalar_roots_calls_do_not_grow_with_K(monkeypatch):
     assert _calls_in_solve(monkeypatch, "roots", 4) \
         == _calls_in_solve(monkeypatch, "roots", 16)
+
+
+def _hull_builds_in_probe(monkeypatch, caches, resolutions):
+    """polygon_from_exponents calls of one probe, the exact caches emptied first."""
+    for fn in caches:
+        fn.cache_clear()
+    calls = []
+    real = polygons.polygon_from_exponents
+
+    def counted(points):
+        calls.append(points)
+        return real(points)
+    monkeypatch.setattr(polygons, "polygon_from_exponents", counted)
+    dirichlet_failure_probe(resolutions)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_probe_exact_work_does_not_grow_with_rows(monkeypatch, exact_caches):
+    """The rows share their order functions, boundary pairs and trace
+    spaces: four rows build the hulls that one row builds."""
+    one = _hull_builds_in_probe(monkeypatch, exact_caches, [(16, 256)])
+    assert one > 0
+    assert _hull_builds_in_probe(monkeypatch, exact_caches, None) == one
 
 
 @pytest.mark.parametrize("name", ["causal_resolvent_terms",
